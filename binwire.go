@@ -1,10 +1,12 @@
 package indep
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"indep/internal/engine"
 	"indep/internal/obs"
@@ -117,54 +119,78 @@ func (e *BinBatchEncoder) Reset() {
 	e.dels = e.dels[:0]
 }
 
+// binBinding is one client id's binding within a binary batch: the name
+// bytes (a view into the payload, for the rebind check) and the value the
+// caller's intern function resolved them to.
+type binBinding struct {
+	name []byte
+	v    relation.Value
+}
+
+// binIDPool recycles binBatchOps' client-id table, so a steady stream of
+// batches reuses one set of map buckets instead of growing a map per batch.
+var binIDPool = sync.Pool{New: func() any { return make(map[relation.Value]binBinding) }}
+
 // binBatchOps walks the frames of a binary batch payload, validating frame
 // checksums, intern bindings (no conflicting rebinds), relation indices,
-// arities, and value-id boundness, and calls bind once per new binding and
-// op once per tuple operation in frame order (inserts from KindInsert and
-// KindBatch frames, deletes from KindDelete frames). Tuples still hold
-// client-local ids — every one guaranteed bound — and callers resolve them
-// through the bindings they accumulated. Any error is a malformed payload,
-// reported before op has been called for the offending frame.
+// arities, and value-id boundness. It calls intern once per distinct
+// binding, with the name as a view into payload that is valid only during
+// the call, and op once per tuple operation in frame order (inserts from
+// KindInsert and KindBatch frames, deletes from KindDelete frames). Each
+// tuple is freshly decoded and already resolved — every client id replaced
+// by what intern returned for its name — so op may keep it. Any error is a
+// malformed payload, reported before op has been called for the offending
+// frame.
 func binBatchOps(s *schema.Schema, payload []byte,
-	bind func(v relation.Value, name string),
-	op func(kind wal.Kind, rel int, tuple []relation.Value) error) error {
-	arity := make([]int, s.Size())
-	for i := range arity {
-		arity[i] = s.Attrs(i).Len()
-	}
-	names := make(map[relation.Value]string) // client id → name (rebind check)
+	intern func(name []byte) relation.Value,
+	op func(kind wal.Kind, rel int, tuple relation.Tuple) error) error {
+	ids := binIDPool.Get().(map[relation.Value]binBinding)
+	defer func() {
+		clear(ids)
+		binIDPool.Put(ids)
+	}()
 	for buf := payload; len(buf) > 0; {
 		pl, n, err := wal.NextStreamFrame(buf)
 		if err != nil { // ErrShortFrame included: a truncated body is malformed
 			return fmt.Errorf("indep: binary batch: %w", err)
 		}
+		buf = buf[n:]
+		if len(pl) > 0 && wal.Kind(pl[0]) == wal.KindIntern {
+			id, name, err := wal.DecodeIntern(pl)
+			if err != nil {
+				return fmt.Errorf("indep: binary batch: %w", err)
+			}
+			if prev, dup := ids[id]; dup {
+				if !bytes.Equal(prev.name, name) {
+					return fmt.Errorf("indep: binary batch rebinds id %d (%q, then %q)",
+						int64(id), prev.name, name)
+				}
+				continue
+			}
+			ids[id] = binBinding{name: name, v: intern(name)}
+			continue
+		}
 		rec, err := wal.DecodeRecord(pl)
 		if err != nil {
 			return fmt.Errorf("indep: binary batch: %w", err)
 		}
-		buf = buf[n:]
 		switch rec.Kind {
-		case wal.KindIntern:
-			if prev, dup := names[rec.Value]; dup && prev != rec.Name {
-				return fmt.Errorf("indep: binary batch rebinds id %d (%q, then %q)",
-					int64(rec.Value), prev, rec.Name)
-			}
-			names[rec.Value] = rec.Name
-			bind(rec.Value, rec.Name)
 		case wal.KindInsert, wal.KindBatch, wal.KindDelete:
 			for _, o := range rec.Ops {
-				if o.Rel < 0 || o.Rel >= len(arity) {
+				if o.Rel < 0 || o.Rel >= s.Size() {
 					return fmt.Errorf("indep: binary batch addresses relation %d (schema has %d)",
-						o.Rel, len(arity))
+						o.Rel, s.Size())
 				}
-				if len(o.Tuple) != arity[o.Rel] {
+				if want := s.Attrs(o.Rel).Len(); len(o.Tuple) != want {
 					return fmt.Errorf("indep: binary batch: %s tuple has %d values, want %d",
-						s.Name(o.Rel), len(o.Tuple), arity[o.Rel])
+						s.Name(o.Rel), len(o.Tuple), want)
 				}
-				for _, v := range o.Tuple {
-					if _, ok := names[v]; !ok {
-						return fmt.Errorf("indep: binary batch references unbound value id %d", int64(v))
+				for j, id := range o.Tuple {
+					b, ok := ids[id]
+					if !ok {
+						return fmt.Errorf("indep: binary batch references unbound value id %d", int64(id))
 					}
+					o.Tuple[j] = b.v
 				}
 				if err := op(rec.Kind, o.Rel, o.Tuple); err != nil {
 					return err
@@ -184,24 +210,20 @@ func binBatchOps(s *schema.Schema, payload []byte,
 // absent tuple is a no-op). The return value is the number of operations
 // applied. The decode path shares the WAL's frame and record parsers and
 // never touches encoding/json. Client-local value ids are remapped by
-// re-interning their bound names; a tuple referencing an unbound id, an
-// unknown relation, or a wrong arity is malformed (not a rejection), and a
-// malformed payload is detected before anything is applied.
+// re-interning their bound names straight from the payload bytes (a name
+// the store already knows costs no allocation); a tuple referencing an
+// unbound id, an unknown relation, or a wrong arity is malformed (not a
+// rejection), and a malformed payload is detected before anything is
+// applied.
 func (cs *ConcurrentStore) ApplyBinBatch(ctx context.Context, payload []byte) (int, error) {
 	ctx, sp := obs.StartSpan(ctx, "store.batchbin")
 	if sp.Recording() {
 		sp.SetInt("bytes", int64(len(payload)))
 	}
 	defer sp.End()
-	remap := make(map[relation.Value]relation.Value)
 	var eops, dels []engine.Op
-	err := binBatchOps(cs.schema.s, payload,
-		func(v relation.Value, name string) { remap[v] = cs.eng.Dict().Value(name) },
-		func(kind wal.Kind, rel int, tuple []relation.Value) error {
-			t := make(relation.Tuple, len(tuple))
-			for j, v := range tuple {
-				t[j] = remap[v]
-			}
+	err := binBatchOps(cs.schema.s, payload, cs.eng.Dict().ValueBytes,
+		func(kind wal.Kind, rel int, t relation.Tuple) error {
 			if kind == wal.KindDelete {
 				dels = append(dels, engine.Op{Scheme: rel, Tuple: t})
 			} else {
@@ -241,15 +263,18 @@ type BinOp struct {
 // arities, every referenced id bound. This is how a cluster router takes a
 // batch apart before forwarding the pieces.
 func (s *Schema) DecodeBinBatch(payload []byte) ([]BinOp, error) {
-	bound := make(map[relation.Value]string)
+	var names []string // indexed by the values binBatchOps resolves ids to
 	var ops []BinOp
 	err := binBatchOps(s.s, payload,
-		func(v relation.Value, name string) { bound[v] = name },
-		func(kind wal.Kind, rel int, tuple []relation.Value) error {
+		func(name []byte) relation.Value {
+			names = append(names, string(name))
+			return relation.Value(len(names) - 1)
+		},
+		func(kind wal.Kind, rel int, tuple relation.Tuple) error {
 			attrs := s.s.Attrs(rel).Attrs()
 			row := make(map[string]string, len(attrs))
 			for j, a := range attrs {
-				row[s.s.U.Name(a)] = bound[tuple[j]]
+				row[s.s.U.Name(a)] = names[tuple[j]]
 			}
 			ops = append(ops, BinOp{Rel: s.s.Name(rel), Delete: kind == wal.KindDelete, Row: row})
 			return nil
@@ -296,20 +321,14 @@ func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []b
 		sp.SetInt("bytes", int64(len(payload)))
 	}
 	defer sp.End()
-	remap := make(map[relation.Value]relation.Value)
 	type resolved struct {
 		del bool
 		rel int
 		t   relation.Tuple
 	}
 	var ops []resolved
-	err := binBatchOps(cs.schema.s, payload,
-		func(v relation.Value, name string) { remap[v] = cs.eng.Dict().Value(name) },
-		func(kind wal.Kind, rel int, tuple []relation.Value) error {
-			t := make(relation.Tuple, len(tuple))
-			for j, v := range tuple {
-				t[j] = remap[v]
-			}
+	err := binBatchOps(cs.schema.s, payload, cs.eng.Dict().ValueBytes,
+		func(kind wal.Kind, rel int, t relation.Tuple) error {
 			ops = append(ops, resolved{del: kind == wal.KindDelete, rel: rel, t: t})
 			return nil
 		})

@@ -441,3 +441,39 @@ func FuzzDecodeShardBatch(f *testing.F) {
 		}
 	})
 }
+
+// TestApplyBinBatchKnownNamesAllocBudget pins the binary ingest path for a
+// batch whose names the store has already interned: names are looked up
+// straight from the payload bytes, the client-id table is pooled, and a
+// batch record's tuples share one decoded array, so what remains is a few
+// per-batch slices. The map-per-batch, string-per-name decoder this
+// replaced made 193 allocations for the same 64-op batch.
+func TestApplyBinBatchKnownNamesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are skewed under -race; CI pins them in a plain pass")
+	}
+	sch := binTestSchema(t)
+	cs, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := NewBinBatchEncoder(sch)
+	for _, op := range binTestOps(64) {
+		if err := enc.Add(op.Rel, op.Row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := enc.Bytes()
+	ctx := context.Background()
+	if _, err := cs.ApplyBinBatch(ctx, payload); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := cs.ApplyBinBatch(ctx, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 20 {
+		t.Fatalf("ApplyBinBatch of 64 ops with known names allocates %v/op, budget 20", n)
+	}
+}

@@ -1,10 +1,12 @@
 package indep
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -488,4 +490,73 @@ func TestDurableDirLock(t *testing.T) {
 		t.Fatalf("reopen after close: %v", err)
 	}
 	re.Close()
+}
+
+// TestDurableRecoversPreArenaFixture opens a checkpoint plus WAL written by
+// the map-based dictionary (testdata/prearena-store; golden values and
+// windows recorded by that code in testdata/prearena-store.golden.json)
+// and requires identical value bindings and windows: the arena dictionary
+// must restore existing data directories unchanged.
+func TestDurableRecoversPreArenaFixture(t *testing.T) {
+	dir := t.TempDir()
+	for _, f := range []string{"ckpt-00000002.ckpt", "wal-00000002.seg"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "prearena-store", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "prearena-store.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Values  map[string]int64    `json:"values"`
+		Windows map[string][]string `json:"windows"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	sch, err := Parse("CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := sch.OpenDurableStore(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if rec := ds.Recovery(); rec.CheckpointTuples == 0 || rec.Records == 0 || rec.Skipped != 0 {
+		t.Fatalf("recovery = %+v: want a checkpoint, log records, no skips", rec)
+	}
+	d := ds.eng.Dict()
+	if d.Len() != len(golden.Values) {
+		t.Errorf("dictionary holds %d names, golden %d", d.Len(), len(golden.Values))
+	}
+	for name, want := range golden.Values {
+		if v, ok := d.Lookup(name); !ok || int64(v) != want {
+			t.Errorf("value of %q = %d (%v), golden %d", name, v, ok, want)
+		}
+	}
+	for key, want := range golden.Windows {
+		var attrs []string
+		if err := json.Unmarshal([]byte(key), &attrs); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ds.Query(WindowQuery{Attrs: attrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, 0, len(res.Rows))
+		for _, r := range res.Rows {
+			b, _ := json.Marshal(r)
+			got = append(got, string(b))
+		}
+		sort.Strings(got)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("window %v: %d rows, golden %d", attrs, len(got), len(want))
+		}
+	}
 }

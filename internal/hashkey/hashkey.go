@@ -1,9 +1,9 @@
 // Package hashkey provides allocation-free 64-bit hashing of small integer
-// vectors. It exists so the data plane (relation instances, guard FD
-// indexes, chase buckets) can key hash tables by compact binary content
-// instead of fmt-built "%d|" strings: a key is a uint64 accumulated with
-// Mix, and the owning table resolves the (rare) collisions by comparing the
-// underlying vectors. Hashing is a pure function of the values — no seed,
+// vectors, and Table, the flat index keyed by those hashes. It exists so
+// the data plane (relation instances, guard FD indexes, chase buckets) can
+// key hash tables by compact binary content instead of fmt-built "%d|"
+// strings: a key is a uint64 accumulated with Mix, and the owning table
+// resolves the (rare) collisions by comparing the underlying vectors. Hashing is a pure function of the values — no seed,
 // no scratch buffer, no allocation — so concurrent readers may hash freely.
 //
 // The mixer is the splitmix64 finalizer (Steele et al., "Fast splittable

@@ -3,6 +3,7 @@ package maintenance
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -241,5 +242,37 @@ func TestChaseMaintainerMatchesCloneAndChase(t *testing.T) {
 				oracle.Insts[scheme].Add(tu)
 			}
 		}
+	}
+}
+
+// TestGuardFDAllocBytesPerEntry pins the live heap one FD index entry
+// costs: its table slot, reference count and witness block (here one lhs
+// and one rhs value); about 43 bytes at this size, where the table has
+// just doubled. The Go map and chained entries it replaced cost 49.7 bytes
+// per entry at the same size.
+func TestGuardFDAllocBytesPerEntry(t *testing.T) {
+	const n = 100_000
+	s := schema.MustParse("R(A,B)")
+	res, err := independence.Decide(s, fd.MustParse(s.U, "A -> B"))
+	if err != nil || !res.Independent {
+		t.Fatal("R(A,B) with A -> B must be independent")
+	}
+	gf := &NewGuard(s, res.Cover).fds[0][0]
+	tuple := make(relation.Tuple, 2)
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	for i := 0; i < n; i++ {
+		tuple[0], tuple[1] = relation.Value(i), relation.Value(i%1000)
+		gf.insertEntry(relation.HashCols(tuple, gf.lhsCols), tuple)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	per := float64(ms.HeapAlloc-before) / n
+	runtime.KeepAlive(gf)
+	t.Logf("guard FD index: %.1f live bytes per entry", per)
+	if per > 46 {
+		t.Fatalf("guard FD index holds %.1f bytes per entry, budget 46", per)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"indep/internal/chase"
 	"indep/internal/fd"
+	"indep/internal/hashkey"
 	"indep/internal/independence"
 	"indep/internal/infer"
 	"indep/internal/relation"
@@ -48,17 +49,17 @@ type Maintainer interface {
 // maintenance problem. Each FD keeps a hash index from left-hand-side
 // values to the unique right-hand-side values, making inserts O(|F_i|).
 //
-// The indexes are binary: a left-hand side is keyed by the 64-bit hash of
-// its values, and each index entry holds witness values (the lhs and rhs
-// columns of some admitted tuple, copied into a flat per-FD value arena)
-// that resolve both hash collisions and the right-hand-side comparison —
-// no string keys are built anywhere. The guard owns the witness values
-// outright: the relation's columnar storage recycles row slots on delete,
-// so an entry may never reference instance storage. Entries live in a
-// per-FD arena with a free list (a recycled entry reuses its value block),
-// and per-scheme probe scratch is preallocated, so steady-state inserts,
-// duplicate inserts, rejections, and insert/delete cycles allocate
-// nothing.
+// The indexes are binary: a flat open-addressed table keys each entry by
+// the 64-bit hash of its left-hand-side values, and each entry holds
+// witness values (the lhs and rhs columns of some admitted tuple, copied
+// into a flat per-FD value arena) that resolve both hash collisions and the
+// right-hand-side comparison — no string keys are built anywhere. The
+// guard owns the witness values outright: the relation's columnar storage
+// recycles row slots on delete, so an entry may never reference instance
+// storage. Entries live in a per-FD arena with a free list (a recycled
+// entry reuses its value block), and per-scheme probe scratch is
+// preallocated, so steady-state inserts, duplicate inserts, rejections,
+// and insert/delete cycles allocate nothing.
 type Guard struct {
 	s       *schema.Schema
 	st      *relation.State
@@ -70,9 +71,9 @@ type guardFD struct {
 	f       fd.FD
 	lhsCols []int
 	rhsCols []int
-	index   map[uint64]int32 // lhs hash → head of entry chain in the arena
-	entries []fdEntry        // arena; slots recycled through free
-	vals    []relation.Value // witness values, entries[e] owns the fixed-width block at e*width
+	index   hashkey.Table    // lhs hash → entry
+	refs    []int32          // per entry: distinct tuples sharing its binding; slots recycled through free
+	vals    []relation.Value // witness values, entry e owns the fixed-width block at e*width
 	free    []int32
 	errViol error // precomputed: the message depends only on (FD, scheme)
 }
@@ -89,18 +90,13 @@ type probe struct {
 	entry int32
 }
 
-// fdEntry records one left-hand-side binding: a reference count of the
-// distinct tuples sharing the binding and the next entry on the same hash
-// chain (-1 ends it). The binding's witness values — the lhs and rhs of
+// An entry e records one left-hand-side binding: refs[e] counts the
+// distinct tuples sharing it, and its witness values — the lhs and rhs of
 // some admitted tuple; any tuple with this lhs agrees on the rhs while the
-// FD holds, so even a later-deleted witness stays valid — live in the
-// owning guardFD's vals arena at the entry's fixed-width block. Deletes
-// decrement and recycle the slot at zero, so a value binding is forgotten
-// as soon as no tuple witnesses it.
-type fdEntry struct {
-	n    int32
-	next int32
-}
+// FD holds, so even a later-deleted witness stays valid — live in vals at
+// the entry's fixed-width block. Deletes decrement and recycle the entry
+// at zero, so a value binding is forgotten as soon as no tuple witnesses
+// it.
 
 // NewGuard builds a guard from the schema and the per-scheme embedded cover
 // (the Cover field of an independent analysis result). The state starts
@@ -119,7 +115,7 @@ func NewGuard(s *schema.Schema, cover infer.AssignedList) *Guard {
 			at[a] = j
 		}
 		for _, f := range cover.ForScheme(i) {
-			gf := guardFD{f: f, index: make(map[uint64]int32)}
+			gf := guardFD{f: f}
 			f.LHS.ForEach(func(attr int) bool {
 				gf.lhsCols = append(gf.lhsCols, at[attr])
 				return true
@@ -162,37 +158,24 @@ func (gf *guardFD) rhsAgrees(e int32, t relation.Tuple) bool {
 	return true
 }
 
-// lookup walks the hash chain for h and returns the entry whose witness
-// agrees with t on the lhs columns, or -1.
+// lookup returns the entry under h whose witness agrees with t on the lhs
+// columns, or -1.
 func (gf *guardFD) lookup(h uint64, t relation.Tuple) int32 {
-	head, ok := gf.index[h]
-	if !ok {
-		return -1
-	}
-	for e := head; e >= 0; e = gf.entries[e].next {
-		if gf.lhsAgrees(e, t) {
-			return e
-		}
-	}
-	return -1
+	return gf.index.Get(h, func(e int32) bool { return gf.lhsAgrees(e, t) })
 }
 
 // insertEntry records a fresh lhs binding witnessed by t's lhs and rhs
 // values (copied into the value arena), reusing a free arena slot — and
 // its value block — when one exists.
 func (gf *guardFD) insertEntry(h uint64, t relation.Tuple) {
-	next := int32(-1)
-	if head, ok := gf.index[h]; ok {
-		next = head
-	}
 	var slot int32
 	if n := len(gf.free); n > 0 {
 		slot = gf.free[n-1]
 		gf.free = gf.free[:n-1]
-		gf.entries[slot] = fdEntry{n: 1, next: next}
+		gf.refs[slot] = 1
 	} else {
-		slot = int32(len(gf.entries))
-		gf.entries = append(gf.entries, fdEntry{n: 1, next: next})
+		slot = int32(len(gf.refs))
+		gf.refs = append(gf.refs, 1)
 		for i := 0; i < gf.width(); i++ { // zero-extend without a temp slice
 			gf.vals = append(gf.vals, 0)
 		}
@@ -204,26 +187,13 @@ func (gf *guardFD) insertEntry(h uint64, t relation.Tuple) {
 	for i, c := range gf.rhsCols {
 		w[len(gf.lhsCols)+i] = t[c]
 	}
-	gf.index[h] = slot
+	gf.index.Insert(h, slot)
 }
 
-// removeEntry unlinks entry e from the chain for h and recycles its slot.
+// removeEntry drops entry e from the index and recycles its slot; the
+// witness block in vals is reused as-is on recycle.
 func (gf *guardFD) removeEntry(h uint64, e int32) {
-	if gf.index[h] == e {
-		if next := gf.entries[e].next; next >= 0 {
-			gf.index[h] = next
-		} else {
-			delete(gf.index, h)
-		}
-	} else {
-		for p := gf.index[h]; ; p = gf.entries[p].next {
-			if gf.entries[p].next == e {
-				gf.entries[p].next = gf.entries[e].next
-				break
-			}
-		}
-	}
-	gf.entries[e] = fdEntry{next: -1} // witness block in vals is reused as-is on recycle
+	gf.index.Delete(h, e)
 	gf.free = append(gf.free, e)
 }
 
@@ -243,7 +213,7 @@ func (g *Guard) InsertReport(scheme int, t relation.Tuple) (bool, error) {
 	fds := g.fds[scheme]
 	// First verify all FDs, then commit; a half-committed index would
 	// otherwise corrupt later checks. Probes are remembered in the scheme's
-	// scratch so commit re-walks no chains.
+	// scratch so commit re-probes no index.
 	probes := g.scratch[scheme]
 	for j := range fds {
 		gf := &fds[j]
@@ -263,7 +233,7 @@ func (g *Guard) InsertReport(scheme int, t relation.Tuple) (bool, error) {
 	for j := range fds {
 		gf := &fds[j]
 		if e := probes[j].entry; e >= 0 {
-			gf.entries[e].n++
+			gf.refs[e]++
 		} else {
 			gf.insertEntry(probes[j].h, t)
 		}
@@ -286,7 +256,7 @@ func (g *Guard) Delete(scheme int, t relation.Tuple) (bool, error) {
 		gf := &fds[j]
 		h := relation.HashCols(t, gf.lhsCols)
 		if e := gf.lookup(h, t); e >= 0 {
-			if gf.entries[e].n--; gf.entries[e].n == 0 {
+			if gf.refs[e]--; gf.refs[e] == 0 {
 				gf.removeEntry(h, e)
 			}
 		}

@@ -19,7 +19,8 @@ import (
 // and recycled, so at steady state an unsampled traced request allocates no
 // span memory at all. Retained traces are never recycled — a reader may
 // still be rendering one long after it is overwritten in the ring — they
-// are simply left to the garbage collector when evicted.
+// are trimmed to the span chunks they used and left to the garbage
+// collector when evicted, so a full ring costs what its traces recorded.
 type Recorder struct {
 	slots []atomic.Pointer[RequestTrace]
 	mask  uint64
@@ -136,6 +137,7 @@ func (r *Recorder) Finish(t *RequestTrace, status int) {
 	}
 	t.mu.Lock()
 	t.reason = reason
+	t.trim()
 	t.mu.Unlock()
 	r.recorded.Inc()
 	slot := (r.next.Add(1) - 1) & r.mask
@@ -186,8 +188,8 @@ func (r *Recorder) Recent(minDur time.Duration, route string, limit int) []Trace
 		if route != "" {
 			t.mu.Lock()
 			name := ""
-			if len(t.spans) > 0 {
-				name = t.spans[0].name
+			if t.n > 0 {
+				name = t.span(0).name
 			}
 			t.mu.Unlock()
 			if name != route {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -185,5 +186,39 @@ func TestRecorderHammer(t *testing.T) {
 	if r.recorded.Value() < writers*perWriter/7 {
 		t.Fatalf("recorded %d traces, want at least the %d rejected ones",
 			r.recorded.Value(), writers*perWriter/7)
+	}
+}
+
+// TestRecorderAllocBytesPerRetainedTrace pins what a retained small trace
+// costs: a 3-span, 4-attribute trace keeps one 16-span chunk and its attr
+// arrays, about 2.1 KB. With fixed 256-span arenas every retained trace
+// cost 27.6 KB whatever it recorded. Each trace is kilobytes, so 16k
+// of them measure far above heap noise without a huge ring.
+func TestRecorderAllocBytesPerRetainedTrace(t *testing.T) {
+	const n = 1 << 14
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	r := NewRecorder(RecorderOptions{Capacity: n, Slow: -1, SampleEvery: 1})
+	for i := 0; i < n; i++ {
+		tr, root := r.Start(testID(i), "POST /batchbin")
+		root.SetInt("status", 200)
+		store := root.StartChild("store.batchbin")
+		store.SetInt("bytes", 5400)
+		eng := store.StartChild("engine.batch")
+		eng.SetInt("ops", 64)
+		eng.SetAttr("outcome", "ok")
+		eng.End()
+		store.End()
+		r.Finish(tr, 200)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	per := float64(ms.HeapAlloc-before) / n
+	runtime.KeepAlive(r)
+	t.Logf("retained 3-span trace: %.0f live bytes", per)
+	if per > 3072 {
+		t.Fatalf("a retained 3-span trace holds %.0f bytes, budget 3072", per)
 	}
 }

@@ -15,9 +15,9 @@ import (
 // StartSpan return nil without allocating, and every *Span method is a
 // nil-safe no-op, so instrumented code calls the API unconditionally and
 // untraced hot paths stay at their existing allocs/op budgets (pinned by
-// AllocsPerRun tests). Traced requests allocate from a pooled, fixed-size
-// span arena owned by the trace, so steady-state tracing allocates no
-// per-span memory either.
+// AllocsPerRun tests). Traced requests allocate from a pooled span arena
+// owned by the trace, so steady-state tracing allocates no per-span memory
+// either.
 
 // Attr is one key/value annotation on a span. Values are either a string
 // or an int64 — never fmt-formatted on the hot path; rendering to JSON
@@ -49,10 +49,15 @@ type Span struct {
 }
 
 // DefaultMaxSpans bounds a trace's span arena when RecorderOptions does not
-// override it. The arena never grows past its bound: pointer stability is
-// what lets spans hand out *Span into a slice, so overflow drops spans (and
-// counts them) rather than reallocating.
+// override it. The arena never grows past its bound: overflow drops spans
+// (and counts them).
 const DefaultMaxSpans = 256
+
+// spanChunk is the arena's allocation unit. A trace's spans live in
+// fixed-size chunks allocated on first use and never moved, so a *Span
+// stays valid while later spans land in later chunks, and a trace holds
+// only the chunks its spans needed rather than MaxSpans slots.
+const spanChunk = 16
 
 // RequestTrace is one request's span tree plus its identity and outcome. Create
 // through a Recorder (which pools arenas); the root span covers the whole
@@ -63,17 +68,33 @@ type RequestTrace struct {
 	start   time.Time
 	dur     time.Duration
 	status  int
-	reason  string // why the recorder retained it: slow, error, rejected, sampled
-	dropped int    // spans lost to arena overflow
-	spans   []Span // fixed-capacity arena; spans[0] is the root
+	reason  string             // why the recorder retained it: slow, error, rejected, sampled
+	dropped int                // spans lost to arena overflow
+	chunks  []*[spanChunk]Span // the arena; span i is chunks[i/spanChunk][i%spanChunk], 0 the root
+	n       int                // spans in use
+	max     int                // arena bound (MaxSpans)
 }
 
-// newTrace allocates an arena with room for maxSpans spans.
+// newTrace creates a trace whose arena holds at most maxSpans spans. No
+// chunk is allocated until a span needs it.
 func newTrace(maxSpans int) *RequestTrace {
 	if maxSpans <= 0 {
 		maxSpans = DefaultMaxSpans
 	}
-	return &RequestTrace{spans: make([]Span, 0, maxSpans)}
+	return &RequestTrace{max: maxSpans}
+}
+
+// span returns span i, which must be in use.
+func (t *RequestTrace) span(i int) *Span { return &t.chunks[i/spanChunk][i%spanChunk] }
+
+// trim releases the chunks beyond those the spans in use occupy. The
+// recorder calls it on a trace it retains: a recycled trace may carry
+// chunks from an earlier, larger request, and a retained one should cost
+// only what it used.
+func (t *RequestTrace) trim() {
+	used := (t.n + spanChunk - 1) / spanChunk
+	clear(t.chunks[used:])
+	t.chunks = t.chunks[:used]
 }
 
 // begin resets the (possibly recycled) trace for a new request and starts
@@ -87,7 +108,7 @@ func (t *RequestTrace) begin(id, rootName string) *Span {
 	t.status = 0
 	t.reason = ""
 	t.dropped = 0
-	t.spans = t.spans[:0]
+	t.n = 0
 	sp := t.startSpanLocked(-1, rootName, t.start)
 	t.mu.Unlock()
 	return sp
@@ -96,18 +117,19 @@ func (t *RequestTrace) begin(id, rootName string) *Span {
 // finish ends the root span and stamps the trace's outcome.
 func (t *RequestTrace) finish(status int) {
 	t.mu.Lock()
-	if len(t.spans) > 0 && !t.spans[0].ended {
-		t.spans[0].ended = true
-		t.spans[0].dur = time.Since(t.spans[0].start)
+	if t.n > 0 && !t.span(0).ended {
+		root := t.span(0)
+		root.ended = true
+		root.dur = time.Since(root.start)
 	}
 	t.dur = time.Since(t.start)
 	t.status = status
 	t.mu.Unlock()
 }
 
-// startSpan claims the next arena slot. A full arena drops the span (the
-// caller sees nil, which no-ops) — dropping beats invalidating every *Span
-// already handed out, and the drop count is reported in the trace view.
+// startSpan claims the next arena slot, allocating a chunk when the span
+// opens one. A full arena drops the span (the caller sees nil, which
+// no-ops), and the drop count is reported in the trace view.
 func (t *RequestTrace) startSpan(parent int32, name string) *Span {
 	now := time.Now()
 	t.mu.Lock()
@@ -117,13 +139,16 @@ func (t *RequestTrace) startSpan(parent int32, name string) *Span {
 }
 
 func (t *RequestTrace) startSpanLocked(parent int32, name string, now time.Time) *Span {
-	n := len(t.spans)
-	if n == cap(t.spans) {
+	n := t.n
+	if n == t.max {
 		t.dropped++
 		return nil
 	}
-	t.spans = t.spans[:n+1]
-	sp := &t.spans[n]
+	if n/spanChunk == len(t.chunks) {
+		t.chunks = append(t.chunks, new([spanChunk]Span))
+	}
+	t.n++
+	sp := t.span(n)
 	sp.tr = t
 	sp.idx = int32(n)
 	sp.parent = parent
@@ -142,10 +167,10 @@ func (t *RequestTrace) ID() string { return t.id }
 func (t *RequestTrace) Root() *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) == 0 {
+	if t.n == 0 {
 		return nil
 	}
-	return &t.spans[0]
+	return t.span(0)
 }
 
 // Recording reports whether the span is live — use it to guard work (an
@@ -265,13 +290,13 @@ func (t *RequestTrace) View() TraceView {
 		DurationNs:   int64(t.dur),
 		Reason:       t.reason,
 		DroppedSpans: t.dropped,
-		Spans:        make([]SpanView, len(t.spans)),
+		Spans:        make([]SpanView, t.n),
 	}
-	if len(t.spans) > 0 {
-		v.Route = t.spans[0].name
+	if t.n > 0 {
+		v.Route = t.span(0).name
 	}
-	for i := range t.spans {
-		sp := &t.spans[i]
+	for i := 0; i < t.n; i++ {
+		sp := t.span(i)
 		sv := SpanView{
 			Name:       sp.name,
 			Parent:     int(sp.parent),

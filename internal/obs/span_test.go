@@ -151,3 +151,89 @@ func TestRootDurationStampedOnce(t *testing.T) {
 	}
 	_ = root
 }
+
+// Spans handed out from the first chunk must stay valid — same object,
+// still writable, still rendered — after later spans allocate chunks 1
+// and 2.
+func TestSpanPointersStableAcrossChunks(t *testing.T) {
+	tr := newTrace(DefaultMaxSpans)
+	root := tr.begin("0123456789abcdef", "root")
+	early := make([]*Span, 0, spanChunk-1)
+	for i := 1; i < spanChunk; i++ {
+		early = append(early, root.StartChild("early"))
+	}
+	for i := 0; i < 2*spanChunk; i++ { // fills chunks 1 and 2
+		root.StartChild("late").End()
+	}
+	if len(tr.chunks) != 3 {
+		t.Fatalf("trace holds %d chunks, want 3", len(tr.chunks))
+	}
+	for i, sp := range early {
+		if sp != tr.span(i+1) {
+			t.Fatalf("span %d moved after later chunks were allocated", i+1)
+		}
+		sp.SetInt("i", int64(i))
+		sp.End()
+	}
+	if tr.Root() != root {
+		t.Fatal("root span moved")
+	}
+	tr.finish(200)
+	v := tr.View()
+	if len(v.Spans) != 3*spanChunk {
+		t.Fatalf("got %d spans, want %d", len(v.Spans), 3*spanChunk)
+	}
+	for i := range early {
+		sv := v.Spans[i+1]
+		if sv.Name != "early" || len(sv.Attrs) != 1 || sv.Attrs[0].Value != int64(i) {
+			t.Fatalf("span %d rendered as %+v", i+1, sv)
+		}
+	}
+}
+
+// Overflow past a MaxSpans bound that spans several chunks drops and counts
+// exactly as within one chunk, and allocates no chunk beyond the bound.
+func TestSpanOverflowAcrossChunks(t *testing.T) {
+	const maxSpans = 2*spanChunk + 3
+	tr := newTrace(maxSpans)
+	root := tr.begin("0123456789abcdef", "root")
+	for i := 1; i < maxSpans; i++ {
+		if root.StartChild("child") == nil {
+			t.Fatalf("span %d dropped below the bound", i)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if root.StartChild("overflow") != nil {
+			t.Fatal("span past MaxSpans was not dropped")
+		}
+	}
+	tr.finish(200)
+	v := tr.View()
+	if len(v.Spans) != maxSpans || v.DroppedSpans != 5 {
+		t.Fatalf("got %d spans, %d dropped; want %d, 5", len(v.Spans), v.DroppedSpans, maxSpans)
+	}
+	if len(tr.chunks) != 3 {
+		t.Fatalf("trace holds %d chunks, want 3", len(tr.chunks))
+	}
+}
+
+// A retained trace keeps only the chunks its spans used, even when its
+// pooled arena grew larger serving an earlier request.
+func TestRetainedTraceHoldsUsedChunks(t *testing.T) {
+	r := NewRecorder(RecorderOptions{Capacity: 4, Slow: -1, SampleEvery: 1 << 30})
+	tr, root := r.Start(testID(1), "POST /batchbin")
+	for i := 0; i < 3*spanChunk; i++ {
+		root.StartChild("wide").End()
+	}
+	r.Finish(tr, 200) // unsampled: recycled with its three chunks
+	tr, root = r.Start(testID(2), "POST /batchbin")
+	root.StartChild("store.batchbin").StartChild("engine.batch").End()
+	r.Finish(tr, 409) // rejected: retained
+	got, ok := r.Get(testID(2))
+	if !ok || len(got.Spans) != 3 {
+		t.Fatalf("retained trace: ok=%v spans=%d, want 3", ok, len(got.Spans))
+	}
+	if len(tr.chunks) != 1 {
+		t.Fatalf("retained 3-span trace holds %d chunks, want 1", len(tr.chunks))
+	}
+}

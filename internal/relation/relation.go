@@ -29,24 +29,42 @@ import (
 type Value int64
 
 // Dict maps values to human-readable names. The zero value is usable.
+//
+// The name → value index is built on the first Value or Lookup, not by
+// Define: a dictionary materialized for a snapshot is mostly only
+// rendered (Name, Each), and its index would otherwise cost a map insert
+// per name on every snapshot cut.
 type Dict struct {
-	names []string
-	bound []bool // whether names[v] is a real binding (Define leaves gaps)
-	index map[string]Value
+	names     []string
+	bound     []bool // whether names[v] is a real binding (Define leaves gaps)
+	indexOnce sync.Once
+	index     map[string]Value
+}
+
+// byName returns the name index, building it from the bound names on first
+// use. Safe for concurrent readers of a dictionary no one mutates.
+func (d *Dict) byName() map[string]Value {
+	d.indexOnce.Do(func() {
+		d.index = make(map[string]Value, len(d.names))
+		for v, name := range d.names {
+			if d.bound[v] {
+				d.index[name] = Value(v)
+			}
+		}
+	})
+	return d.index
 }
 
 // Value interns name and returns its value.
 func (d *Dict) Value(name string) Value {
-	if d.index == nil {
-		d.index = make(map[string]Value)
-	}
-	if v, ok := d.index[name]; ok {
+	index := d.byName()
+	if v, ok := index[name]; ok {
 		return v
 	}
 	v := Value(len(d.names))
 	d.names = append(d.names, name)
 	d.bound = append(d.bound, true)
-	d.index[name] = v
+	index[name] = v
 	return v
 }
 
@@ -54,10 +72,10 @@ func (d *Dict) Value(name string) Value {
 // it. Query selection uses it: a name the dictionary has never seen cannot
 // appear in any tuple, so the dictionary does not grow on misses.
 func (d *Dict) Lookup(name string) (Value, bool) {
-	if d == nil || d.index == nil {
+	if d == nil {
 		return 0, false
 	}
-	v, ok := d.index[name]
+	v, ok := d.byName()[name]
 	return v, ok
 }
 
@@ -77,16 +95,15 @@ func (d *Dict) Define(v Value, name string) {
 	if v < 0 {
 		panic("relation: Define with negative value")
 	}
-	if d.index == nil {
-		d.index = make(map[string]Value)
-	}
 	for int(v) >= len(d.names) {
 		d.names = append(d.names, "")
 		d.bound = append(d.bound, false)
 	}
 	d.names[v] = name
 	d.bound[v] = true
-	d.index[name] = v
+	if d.index != nil { // already built: keep it current
+		d.index[name] = v
+	}
 }
 
 // Each calls f for every bound (value, name) pair in ascending value
@@ -161,20 +178,19 @@ func (t Tuple) Clone() Tuple {
 // equal length; live[s] marks occupied slots, and free holds vacated slots
 // for reuse, so a slot number is stable for the lifetime of its row.
 //
-// The primary index buckets rows by their 64-bit content hash: pos holds
-// the first slot seen for a hash, over the (rare) extra slots when distinct
-// rows collide. Membership probes hash the tuple and compare values column
-// by column — no string key is ever built, so Has and duplicate Adds are
-// allocation-free; a fresh Add writes straight into the arenas with no
+// The primary index is a flat open-addressed table from each row's 64-bit
+// content hash to its slot; rows whose hashes collide simply occupy more
+// table entries. Membership probes hash the tuple and compare values
+// column by column — no string key is ever built, so Has and duplicate Adds
+// are allocation-free; a fresh Add writes straight into the arenas with no
 // per-row clone.
 type Instance struct {
 	Attrs attrset.Set
-	cols  [][]Value          // one arena per column; equal lengths = slot count
-	live  []bool             // live[s]: slot s holds a current row
-	free  []int32            // vacated slots, reused LIFO by Add
-	n     int                // live row count
-	pos   map[uint64]int32   // row hash → first slot
-	over  map[uint64][]int32 // additional slots on hash collision
+	cols  [][]Value     // one arena per column; equal lengths = slot count
+	live  []bool        // live[s]: slot s holds a current row
+	free  []int32       // vacated slots, reused LIFO by Add
+	n     int           // live row count
+	pos   hashkey.Table // row hash → slot
 
 	// secondary holds lazily built hash indexes over column subsets, keyed
 	// by the column-position list (see MatchingRows), plus the cached list
@@ -192,7 +208,6 @@ func NewInstance(attrs attrset.Set) *Instance {
 	return &Instance{
 		Attrs: attrs,
 		cols:  make([][]Value, attrs.Len()),
-		pos:   make(map[uint64]int32),
 	}
 }
 
@@ -306,63 +321,9 @@ func (in *Instance) rowEqual(s int32, t Tuple) bool {
 	return true
 }
 
-// find returns the slot of t, or -1.
-func (in *Instance) find(t Tuple) int32 {
-	h := t.hash()
-	p, ok := in.pos[h]
-	if !ok {
-		return -1
-	}
-	if in.rowEqual(p, t) {
-		return p
-	}
-	for _, q := range in.over[h] {
-		if in.rowEqual(q, t) {
-			return q
-		}
-	}
-	return -1
-}
-
-// indexAdd records slot s for a row hashing to h.
-func (in *Instance) indexAdd(h uint64, s int32) {
-	if _, ok := in.pos[h]; !ok {
-		in.pos[h] = s
-		return
-	}
-	if in.over == nil {
-		in.over = make(map[uint64][]int32)
-	}
-	in.over[h] = append(in.over[h], s)
-}
-
-// indexRemove forgets slot s for a row hashing to h.
-func (in *Instance) indexRemove(h uint64, s int32) {
-	if in.pos[h] == s {
-		if ov := in.over[h]; len(ov) > 0 {
-			in.pos[h] = ov[len(ov)-1]
-			in.shrinkOver(h, len(ov)-1)
-		} else {
-			delete(in.pos, h)
-		}
-		return
-	}
-	for j, q := range in.over[h] {
-		if q == s {
-			ov := in.over[h]
-			ov[j] = ov[len(ov)-1]
-			in.shrinkOver(h, len(ov)-1)
-			return
-		}
-	}
-}
-
-func (in *Instance) shrinkOver(h uint64, n int) {
-	if n == 0 {
-		delete(in.over, h)
-	} else {
-		in.over[h] = in.over[h][:n]
-	}
+// find returns the slot of t, whose hash is h, or -1.
+func (in *Instance) find(t Tuple, h uint64) int32 {
+	return in.pos.Get(h, func(s int32) bool { return in.rowEqual(s, t) })
 }
 
 // invalidateSecondary drops the lazy match indexes and the live-slot cache;
@@ -488,7 +449,8 @@ func (in *Instance) Add(t Tuple) bool {
 	if len(t) != in.Width() {
 		panic(fmt.Sprintf("relation: tuple arity %d does not match scheme arity %d", len(t), in.Width()))
 	}
-	if in.find(t) >= 0 {
+	h := t.hash()
+	if in.find(t, h) >= 0 {
 		return false
 	}
 	in.invalidateSecondary()
@@ -508,7 +470,7 @@ func (in *Instance) Add(t Tuple) bool {
 		in.live = append(in.live, true)
 	}
 	in.n++
-	in.indexAdd(t.hash(), s)
+	in.pos.Insert(h, s)
 	return true
 }
 
@@ -516,12 +478,13 @@ func (in *Instance) Add(t Tuple) bool {
 // slot keeps its number and goes on the free list for the next Add, so
 // other rows' slots are never disturbed.
 func (in *Instance) Remove(t Tuple) bool {
-	s := in.find(t)
+	h := t.hash()
+	s := in.find(t, h)
 	if s < 0 {
 		return false
 	}
 	in.invalidateSecondary()
-	in.indexRemove(t.hash(), s)
+	in.pos.Delete(h, s)
 	in.live[s] = false
 	in.free = append(in.free, s)
 	in.n--
@@ -530,11 +493,12 @@ func (in *Instance) Remove(t Tuple) bool {
 
 // Has reports whether the tuple is present. It never allocates.
 func (in *Instance) Has(t Tuple) bool {
-	return in.find(t) >= 0
+	return in.find(t, t.hash()) >= 0
 }
 
-// Clone deep-copies the instance. Columns copy as whole arenas (memmove,
-// not per-row re-insertion), which is what makes engine snapshots cheap.
+// Clone deep-copies the instance. Columns and the primary index copy as
+// whole slices (memmove, not per-row re-insertion), which is what makes
+// engine snapshots cheap.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{Attrs: in.Attrs, cols: make([][]Value, len(in.cols)), n: in.n}
 	for c := range in.cols {
@@ -542,16 +506,7 @@ func (in *Instance) Clone() *Instance {
 	}
 	out.live = append([]bool(nil), in.live...)
 	out.free = append([]int32(nil), in.free...)
-	out.pos = make(map[uint64]int32, len(in.pos))
-	for h, s := range in.pos {
-		out.pos[h] = s
-	}
-	if len(in.over) > 0 {
-		out.over = make(map[uint64][]int32, len(in.over))
-		for h, v := range in.over {
-			out.over[h] = append([]int32(nil), v...)
-		}
-	}
+	out.pos = in.pos.Clone()
 	return out
 }
 

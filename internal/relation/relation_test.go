@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"indep/internal/attrset"
@@ -247,4 +249,32 @@ func TestDictDefine(t *testing.T) {
 	if d.Value("ten") != Value(10) {
 		t.Fatal("Define did not register the reverse mapping")
 	}
+	// The index now exists; later Defines must keep it current.
+	d.Define(Value(20), "twenty")
+	if v, ok := d.Lookup("twenty"); !ok || v != 20 {
+		t.Fatalf("Lookup after a post-index Define = %d, %v", v, ok)
+	}
+}
+
+// A materialized dictionary builds its name index on first lookup; many
+// readers may race to trigger that (run under -race).
+func TestDictLazyIndexConcurrentLookup(t *testing.T) {
+	d := &Dict{}
+	for v := 0; v < 500; v++ {
+		d.Define(Value(2*v), fmt.Sprintf("n%d", v))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := 0; v < 500; v++ {
+				if got, ok := d.Lookup(fmt.Sprintf("n%d", v)); !ok || got != Value(2*v) {
+					t.Errorf("Lookup(n%d) = %d, %v", v, got, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -128,25 +128,14 @@ func DecodeRecord(payload []byte) (Record, error) {
 	var err error
 	switch r.Kind {
 	case KindIntern:
-		var v int64
-		v, b, err = readVarint(b)
+		v, name, err := DecodeIntern(payload)
 		if err != nil {
 			return Record{}, err
 		}
-		var n uint64
-		n, b, err = readUvarint(b)
-		if err != nil {
-			return Record{}, err
-		}
-		if n > uint64(len(b)) {
-			return Record{}, fmt.Errorf("wal: intern name length %d exceeds payload", n)
-		}
-		r.Value = relation.Value(v)
-		r.Name = string(b[:n])
-		b = b[n:]
+		return Intern(v, string(name)), nil
 	case KindInsert, KindDelete:
 		var op TupleOp
-		op, b, err = readTupleOp(b)
+		op, b, err = readTupleOp(b, nil)
 		if err != nil {
 			return Record{}, err
 		}
@@ -163,13 +152,22 @@ func DecodeRecord(payload []byte) (Record, error) {
 		if n > maxBatchOps || n > uint64(len(b))/2 {
 			return Record{}, fmt.Errorf("wal: batch of %d ops exceeds payload", n)
 		}
+		// Every tuple of the batch slices one backing array, sized by a
+		// first pass that only skips varints: one allocation per record
+		// instead of one per tuple.
+		total, err := countBatchValues(b, n)
+		if err != nil {
+			return Record{}, err
+		}
+		vals := make([]relation.Value, total)
 		r.Ops = make([]TupleOp, 0, n)
 		for i := uint64(0); i < n; i++ {
 			var op TupleOp
-			op, b, err = readTupleOp(b)
+			op, b, err = readTupleOp(b, vals)
 			if err != nil {
 				return Record{}, err
 			}
+			vals = vals[len(op.Tuple):]
 			r.Ops = append(r.Ops, op)
 		}
 	default:
@@ -181,7 +179,63 @@ func DecodeRecord(payload []byte) (Record, error) {
 	return r, nil
 }
 
-func readTupleOp(b []byte) (TupleOp, []byte, error) {
+// DecodeIntern parses an intern record payload (DecodeRecord's KindIntern
+// case) without copying the name: name is a view into payload, valid only
+// as long as payload is. Hot decoders use it to look a name up before
+// deciding whether it needs a copy at all.
+func DecodeIntern(payload []byte) (v relation.Value, name []byte, err error) {
+	if len(payload) == 0 || Kind(payload[0]) != KindIntern {
+		return 0, nil, fmt.Errorf("wal: not an intern record")
+	}
+	iv, b, err := readVarint(payload[1:])
+	if err != nil {
+		return 0, nil, err
+	}
+	n, b, err := readUvarint(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(len(b)) {
+		return 0, nil, fmt.Errorf("wal: intern name length %d exceeds payload", n)
+	}
+	if uint64(len(b)) != n {
+		return 0, nil, fmt.Errorf("wal: %d trailing bytes after record", uint64(len(b))-n)
+	}
+	return relation.Value(iv), b[:n], nil
+}
+
+// countBatchValues returns the total tuple arity of the n ops at the start
+// of b, bounded by len(b) (each value takes at least one byte), without
+// decoding any value.
+func countBatchValues(b []byte, n uint64) (int, error) {
+	total := uint64(0)
+	for i := uint64(0); i < n; i++ {
+		_, rest, err := readUvarint(b)
+		if err != nil {
+			return 0, err
+		}
+		arity, rest, err := readUvarint(rest)
+		if err != nil {
+			return 0, err
+		}
+		if arity > uint64(len(rest)) {
+			return 0, fmt.Errorf("wal: tuple arity %d exceeds payload", arity)
+		}
+		total += arity
+		for j := uint64(0); j < arity; j++ {
+			if _, rest, err = readVarint(rest); err != nil {
+				return 0, err
+			}
+		}
+		b = rest
+	}
+	return int(total), nil
+}
+
+// readTupleOp decodes one op. Its tuple takes the first arity slots of dst
+// (capacity-limited, so appending to it never spills into a neighbour) or,
+// with a nil dst, a fresh slice.
+func readTupleOp(b []byte, dst []relation.Value) (TupleOp, []byte, error) {
 	rel, b, err := readUvarint(b)
 	if err != nil {
 		return TupleOp{}, nil, err
@@ -193,7 +247,12 @@ func readTupleOp(b []byte) (TupleOp, []byte, error) {
 	if arity > uint64(len(b)) { // each value takes ≥ 1 byte
 		return TupleOp{}, nil, fmt.Errorf("wal: tuple arity %d exceeds payload", arity)
 	}
-	t := make(relation.Tuple, arity)
+	var t relation.Tuple
+	if dst == nil {
+		t = make(relation.Tuple, arity)
+	} else {
+		t = relation.Tuple(dst[:arity:arity])
+	}
 	for i := range t {
 		var v int64
 		v, b, err = readVarint(b)
