@@ -11,99 +11,36 @@ import (
 	"errors"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"indep"
 	"indep/internal/cluster"
+	"indep/internal/obs"
 )
 
-// routerServer is the cluster-mode handler: the same surface shape as the
-// single-node server (insert/batch/batchbin/tuple/window plus probes and
-// metrics), backed by a cluster.Router instead of a store, with the
-// /cluster/status and /cluster/health routes the routing tier adds.
+// routerServer is the cluster-mode handler: the shared surface with the
+// write and window routes backed by a cluster.Router instead of a store,
+// plus the /cluster/status and /cluster/health routes the routing tier
+// adds.
 type routerServer struct {
-	log  *slog.Logger
-	reg  *indep.MetricsRegistry
-	http *httpStats
-	mux  *http.ServeMux
-	rt   *cluster.Router
+	*surface
+	rt *cluster.Router
 }
 
-func newRouterServer(rt *cluster.Router, logger *slog.Logger) *routerServer {
-	reg := indep.NewMetricsRegistry()
-	s := &routerServer{
-		log:  logger,
-		reg:  reg,
-		http: newHTTPStats(reg),
-		mux:  http.NewServeMux(),
-		rt:   rt,
-	}
-	rt.RegisterMetrics(reg)
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, _ := cutPattern(pattern)
-		wrapped := s.wrap(pattern, h)
-		s.mux.HandleFunc(pattern, wrapped)
-		s.mux.HandleFunc(method+" /v1"+path, wrapped)
-	}
-	handle("POST /insert", s.handleInsert)
-	handle("POST /batch", s.handleBatch)
-	handle("POST /batchbin", s.handleBatchBin)
-	handle("DELETE /tuple", s.handleDelete)
-	handle("GET /window", s.handleWindow)
-	handle("GET /cluster/status", s.handleStatus)
-	handle("GET /cluster/health", s.handleHealth)
-	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.reg.WriteTo(w)
-	})
-	ok := func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
-	}
-	s.mux.HandleFunc("GET /healthz", ok)
-	s.mux.HandleFunc("GET /readyz", ok) // a router has no recovery phase
+func newRouterServer(rt *cluster.Router, logger *slog.Logger, pprofOn bool, rec obs.RecorderOptions) *routerServer {
+	s := &routerServer{surface: newSurface(logger, pprofOn, rec), rt: rt}
+	rt.RegisterMetrics(s.reg)
+	s.api("POST /insert", s.handleInsert)
+	s.api("POST /batch", s.handleBatch)
+	s.api("POST /batchbin", s.handleBatchBin)
+	s.api("DELETE /tuple", s.handleDelete)
+	s.api("GET /window", s.handleWindow)
+	s.api("GET /cluster/status", s.handleStatus)
+	s.api("GET /cluster/health", s.handleHealth)
+	s.ready.Store(true) // a router has no recovery phase
 	return s
-}
-
-func cutPattern(pattern string) (method, path string, ok bool) {
-	for i := 0; i < len(pattern); i++ {
-		if pattern[i] == ' ' {
-			return pattern[:i], pattern[i+1:], true
-		}
-	}
-	panic("indepd: route pattern without method: " + pattern)
-}
-
-func (s *routerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-// wrap is the router's request middleware: trace header echo, access log,
-// and the indep_http_* metrics — the same families the shard daemons
-// expose, so one dashboard covers both tiers.
-func (s *routerServer) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.http.routeHist(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		trace := requestTraceID(r)
-		w.Header().Set(traceHeader, trace)
-		sw := &statusWriter{ResponseWriter: w}
-		s.http.inflight.Add(1)
-		start := time.Now()
-		h(sw, r)
-		d := time.Since(start)
-		s.http.inflight.Add(-1)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		s.http.note(route, r.Method, sw.status, d, hist)
-		s.log.Debug("request", "route", route, "status", sw.status,
-			"bytes", sw.bytes, "d", d, "trace", trace)
-	}
 }
 
 // writeRouteErr maps router errors: an unreachable or failing shard is 503
@@ -194,34 +131,9 @@ func (s *routerServer) routeBatch(w http.ResponseWriter, r *http.Request, payloa
 }
 
 func (s *routerServer) handleWindow(w http.ResponseWriter, r *http.Request) {
-	q, err := parseWindowQuery(r.URL.Query())
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-		return
-	}
-	start := time.Now()
-	res, err := s.rt.Window(r.Context(), q)
-	if err != nil {
+	serveWindow(w, r, s.rt.Window, func(w http.ResponseWriter, err error) {
 		s.writeRouteErr(w, err, nil)
-		return
-	}
-	rows := res.Rows
-	if rows == nil {
-		rows = []map[string]string{}
-	}
-	body := map[string]any{
-		"attrs":      res.Attrs,
-		"rows":       rows,
-		"rowCount":   len(rows),
-		"total":      res.Total,
-		"fastPath":   res.FastPath,
-		"planCached": res.PlanCached,
-		"elapsedNs":  time.Since(start).Nanoseconds(),
-	}
-	if res.Explain != nil {
-		body["explain"] = res.Explain
-	}
-	writeJSON(w, http.StatusOK, body)
+	})
 }
 
 func (s *routerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -232,43 +144,6 @@ func (s *routerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 // passively observed health; this one spends round-trips).
 func (s *routerServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"shards": s.rt.CheckHealth(r.Context())})
-}
-
-// serveCluster runs the routing tier to completion: listener, background
-// health loop, signal-driven graceful shutdown. There is no store to drain
-// or checkpoint — the router's only state is the health table.
-func serveCluster(s *routerServer, addr string, healthEvery time.Duration, logger *slog.Logger) {
-	srv := &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	logger.Info("listening", "addr", ln.Addr().String())
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	s.rt.CheckHealth(ctx) // prime the health table before the first scrape
-	if healthEvery > 0 {
-		go s.healthLoop(ctx, healthEvery)
-	}
-	select {
-	case err := <-errc:
-		fatal(err)
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		logger.Warn("shutdown", "err", err)
-	}
 }
 
 // healthLoop pings all shards on a fixed cadence so /cluster/status stays

@@ -19,6 +19,7 @@ import (
 
 	"indep"
 	"indep/internal/cluster"
+	"indep/internal/obs"
 )
 
 const clusterSchema = "CT(C,T); CS(C,S); CHR(C,H,R)"
@@ -27,7 +28,7 @@ const clusterFDs = "C -> T; C H -> R"
 // newClusterTestServer stands up n shard daemons and a router over them.
 // deadShards names shards whose daemon is shut down before the router
 // starts (the URL keeps refusing connections).
-func newClusterTestServer(t *testing.T, n int, deadShards ...string) (*httptest.Server, *cluster.Router) {
+func newClusterTestServer(t *testing.T, schemaSrc, fdSrc string, n int, deadShards ...string) (*httptest.Server, *cluster.Router) {
 	t.Helper()
 	dead := make(map[string]bool, len(deadShards))
 	for _, s := range deadShards {
@@ -36,13 +37,13 @@ func newClusterTestServer(t *testing.T, n int, deadShards ...string) (*httptest.
 	var members []cluster.Member
 	for i := 1; i <= n; i++ {
 		name := "shard" + string(rune('0'+i))
-		shard, _ := newTestServer(t, clusterSchema, clusterFDs)
+		shard, _ := newTestServer(t, schemaSrc, fdSrc)
 		if dead[name] {
 			shard.Close()
 		}
 		members = append(members, cluster.Member{Name: name, URL: shard.URL})
 	}
-	sch, err := indep.Parse(clusterSchema, clusterFDs)
+	sch, err := indep.Parse(schemaSrc, fdSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func newClusterTestServer(t *testing.T, n int, deadShards ...string) (*httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newRouterServer(rt, discardLogger()))
+	ts := httptest.NewServer(newRouterServer(rt, discardLogger(), false, obs.RecorderOptions{SampleEvery: 1}))
 	t.Cleanup(ts.Close)
 	return ts, rt
 }
@@ -63,7 +64,7 @@ func newClusterTestServer(t *testing.T, n int, deadShards ...string) (*httptest.
 // TestClusterEndToEnd drives inserts, a batch, a rejection, and a window
 // through the router's HTTP API against live shard daemons.
 func TestClusterEndToEnd(t *testing.T) {
-	ts, _ := newClusterTestServer(t, 3)
+	ts, _ := newClusterTestServer(t, clusterSchema, clusterFDs, 3)
 
 	resp, _ := do(t, http.MethodPost, ts.URL+"/v1/insert",
 		map[string]any{"relation": "CT", "row": map[string]string{"C": "c1", "T": "t1"}})
@@ -126,7 +127,7 @@ func TestClusterEndToEnd(t *testing.T) {
 // Retry-After and names the shard; ops owned by live shards still work.
 func TestClusterShardDown503(t *testing.T) {
 	const dead = "shard2"
-	ts, rt := newClusterTestServer(t, 3, dead)
+	ts, rt := newClusterTestServer(t, clusterSchema, clusterFDs, 3, dead)
 
 	rowOwnedBy(t, rt, dead, true) // sanity: the dead shard owns something
 	resp, body := do(t, http.MethodPost, ts.URL+"/v1/insert",
@@ -281,5 +282,77 @@ func TestClusterRelEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("cluster/rel?name=%q: %d", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestClusterWindowBinary pins the router's binary window: with Accept:
+// application/x-indep-bin it answers an IWIN1 body that decodes to the
+// rows of the JSON answer, on the gather path (independent schema) and on
+// the fallback path that proxies the whole query to one shard.
+func TestClusterWindowBinary(t *testing.T) {
+	for _, tc := range []struct {
+		name, schema, fds, attrs string
+		fast                     bool
+		ops                      []map[string]any
+	}{
+		{"gather", clusterSchema, clusterFDs, "C,T,S", true, []map[string]any{
+			{"relation": "CT", "row": map[string]string{"C": "c1", "T": "t1"}},
+			{"relation": "CT", "row": map[string]string{"C": "c2", "T": "t2"}},
+			{"relation": "CS", "row": map[string]string{"C": "c1", "S": "s1"}},
+			{"relation": "CS", "row": map[string]string{"C": "c2", "S": "s2"}},
+			{"relation": "CS", "row": map[string]string{"C": "c3", "S": "s3"}},
+		}},
+		{"proxied", "CD(C,D); CT(C,T); TD(T,D)", "C -> D; C -> T; T -> D", "C,D", false, []map[string]any{
+			{"relation": "CD", "row": map[string]string{"C": "c1", "D": "d1"}},
+			{"relation": "CT", "row": map[string]string{"C": "c2", "T": "t2"}},
+			{"relation": "TD", "row": map[string]string{"T": "t2", "D": "d2"}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, _ := newClusterTestServer(t, tc.schema, tc.fds, 2)
+			if resp, body := do(t, http.MethodPost, ts.URL+"/v1/batch", map[string]any{"ops": tc.ops}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch: %d %v", resp.StatusCode, body)
+			}
+			url := ts.URL + "/v1/window?attrs=" + tc.attrs
+			resp, body := do(t, http.MethodGet, url, nil)
+			if resp.StatusCode != http.StatusOK || body["fastPath"] != tc.fast || body["rowCount"].(float64) != 2 {
+				t.Fatalf("JSON window: %d %v", resp.StatusCode, body)
+			}
+			req, err := http.NewRequest(http.MethodGet, url, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Accept", indep.BinContentType)
+			bresp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := io.ReadAll(bresp.Body)
+			bresp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bresp.StatusCode != http.StatusOK || bresp.Header.Get("Content-Type") != indep.BinContentType {
+				t.Fatalf("binary window: %d %q", bresp.StatusCode, bresp.Header.Get("Content-Type"))
+			}
+			res, err := indep.DecodeWindowBinary(data)
+			if err != nil {
+				t.Fatalf("binary window body: %v", err)
+			}
+			if res.FastPath != tc.fast || res.Total != 2 {
+				t.Fatalf("binary window: fastPath=%v total=%d", res.FastPath, res.Total)
+			}
+			jsonRows := body["rows"].([]any)
+			if len(res.Rows) != len(jsonRows) {
+				t.Fatalf("binary rows %v, JSON rows %v", res.Rows, jsonRows)
+			}
+			for i, raw := range jsonRows {
+				for attr, v := range raw.(map[string]any) {
+					if res.Rows[i][attr] != v {
+						t.Fatalf("row %d: binary %v, JSON %v", i, res.Rows[i], raw)
+					}
+				}
+			}
+		})
 	}
 }

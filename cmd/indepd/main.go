@@ -25,23 +25,32 @@
 //	indepd -file design.txt -addr :8080 -data /var/lib/indepd
 //	indepd -file design.txt -addr :8081 -data /var/lib/indepd-replica -follow http://primary:8080
 //
-// Endpoints (also mounted under /v1/):
+// API routes live under /v1/ only; probe, scrape and debug routes are
+// unversioned:
 //
-//	POST   /insert      {"relation":"CT","row":{"C":"cs101","T":"jones"}}
-//	POST   /batch       {"ops":[{"relation":...,"row":{...}}, ...]}  (atomic)
-//	POST   /batchbin    length-prefixed binary batch (indep.BinBatchEncoder; atomic, JSON-free)
-//	DELETE /tuple       {"relation":"CT","row":{...}}
-//	POST   /checkpoint  snapshot state, truncate the log (durable only)
-//	GET    /window      ?attrs=C,T[&where=C=cs101&project=T&limit=10]
-//	                    (Accept: application/x-indep-bin streams the binary result)
-//	GET    /state       full state as JSON rows
-//	GET    /analysis    independence analysis
-//	GET    /stats       per-relation counters, latency quantiles, WAL depth
+//	POST   /v1/insert      {"relation":"CT","row":{"C":"cs101","T":"jones"}}
+//	POST   /v1/batch       {"ops":[{"relation":...,"row":{...}}, ...]}  (atomic)
+//	POST   /v1/batchbin    length-prefixed binary batch (indep.BinBatchEncoder; atomic, JSON-free)
+//	DELETE /v1/tuple       {"relation":"CT","row":{...}}
+//	POST   /v1/checkpoint  snapshot state, truncate the log (durable only)
+//	GET    /v1/window      ?attrs=C,T[&where=C=cs101&project=T&limit=10]
+//	                       (Accept: application/x-indep-bin streams the binary result)
+//	GET    /v1/cluster/rel ?name=CT  this node's fragment of one relation, binary
+//	GET    /v1/state       full state as JSON rows
+//	GET    /v1/analysis    independence analysis
+//	GET    /v1/stats       per-relation counters, durability, replication role
+//	GET    /v1/repl/wal       raw flushed WAL bytes by cursor (?pos=seq/off&max=&wait=1)
+//	GET    /v1/repl/snapshot  encoded state snapshot for follower bootstrap
 //	GET    /metrics     Prometheus text exposition of every subsystem
 //	GET    /healthz     process liveness (200 as soon as the listener is up)
 //	GET    /readyz      503 until recovery finishes, then 200
-//	GET    /v1/repl/wal       raw flushed WAL bytes by cursor (?pos=seq/off&max=&wait=1)
-//	GET    /v1/repl/snapshot  encoded state snapshot for follower bootstrap
+//	GET    /debug/trace/recent, /debug/trace/{id}  retained request traces
+//
+// With -cluster the daemon is a stateless routing tier over -shards: it
+// serves /v1/insert, /v1/batch, /v1/batchbin, /v1/tuple and /v1/window by
+// placement and scatter-gather, plus /v1/cluster/status and
+// /v1/cluster/health, on the same surface — middleware, metrics, flight
+// recorder, probes, and the -trace-*, -slow and -pprof flags.
 //
 // /window computes the paper's window function: the X-total projection of
 // the representative instance for the requested attribute set, evaluated
@@ -69,16 +78,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
-	"net/http/pprof"
-	"net/url"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"indep"
@@ -126,6 +129,12 @@ func main() {
 	}
 	logger.Info("schema loaded", "schema", sch.String())
 
+	rec := obs.RecorderOptions{
+		Capacity:    *traceRing,
+		SampleEvery: *traceSample,
+		Slow:        *slow,
+	}
+
 	if *clusterOn {
 		if *shards == "" {
 			fatal(fmt.Errorf("-cluster requires -shards (e.g. -shards 'shard1=http://host1:8080,shard2=http://host2:8080')"))
@@ -149,106 +158,74 @@ func main() {
 		} else {
 			logger.Info("cluster mode", "shards", len(members), "parts", rt.Placement().Parts())
 		}
-		serveCluster(newRouterServer(rt, logger), *addr, *healthEvery, logger)
+		s := newRouterServer(rt, logger, *pprofOn, rec)
+		// The router's only state is the health table: nothing to drain or
+		// checkpoint on shutdown.
+		s.serve(*addr, func(ctx context.Context) func() {
+			rt.CheckHealth(ctx) // prime the health table before the first scrape
+			if *healthEvery > 0 {
+				go s.healthLoop(ctx, *healthEvery)
+			}
+			return nil
+		})
 		return
 	}
 
-	// Listener first, store second: /healthz and /readyz must answer while
-	// a large write-ahead log replays, and an orchestrator must be able to
-	// tell "starting" from "dead". Store-backed routes answer 503 until the
-	// store is installed.
-	s := newServer(sch, logger, *pprofOn, obs.RecorderOptions{
-		Capacity:    *traceRing,
-		SampleEvery: *traceSample,
-		Slow:        *slow,
+	// Store-backed routes answer 503 until open has installed the store.
+	s := newServer(sch, logger, *pprofOn, rec)
+	s.serve(*addr, func(context.Context) func() {
+		switch {
+		case *follow != "":
+			if *data == "" {
+				fatal(fmt.Errorf("-follow requires -data (the replica keeps its own durable copy)"))
+			}
+			follower, err := sch.OpenFollower(*data, &indep.HTTPReplSource{
+				Base: strings.TrimRight(*follow, "/"),
+				Wait: true,
+			}, indep.FollowerOptions{
+				NoFsync: *noFsync,
+				Logger:  logger,
+			})
+			if err != nil {
+				fatal(err)
+			}
+			s.install(follower.ConcurrentStore, follower.DurableStore, follower, *slow)
+			// Close persists the stream position, so the next start resumes
+			// the tail instead of re-syncing from a snapshot.
+			return func() {
+				if err := follower.Close(); err != nil {
+					logger.Error("close", "err", err)
+				}
+			}
+		case *data != "":
+			durable, err := sch.OpenDurableStore(*data, indep.DurableOptions{
+				NoFsync:    *noFsync,
+				Logger:     logger,
+				SlowCommit: *slow,
+			})
+			if err != nil {
+				fatal(err)
+			}
+			s.install(durable.ConcurrentStore, durable, nil, *slow)
+			return func() {
+				if err := durable.Checkpoint(); err != nil {
+					logger.Error("final checkpoint", "err", err)
+				} else {
+					logger.Info("final checkpoint written")
+				}
+				if err := durable.Close(); err != nil {
+					logger.Error("close", "err", err)
+				}
+			}
+		default:
+			store, err := sch.OpenConcurrentStore()
+			if err != nil {
+				fatal(err)
+			}
+			s.install(store, nil, nil, *slow)
+			return nil
+		}
 	})
-	srv := &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
-	}
-	logger.Info("listening", "addr", ln.Addr().String())
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	var store *indep.ConcurrentStore
-	var durable *indep.DurableStore
-	var follower *indep.Follower
-	switch {
-	case *follow != "":
-		if *data == "" {
-			fatal(fmt.Errorf("-follow requires -data (the replica keeps its own durable copy)"))
-		}
-		follower, err = sch.OpenFollower(*data, &indep.HTTPReplSource{
-			Base: strings.TrimRight(*follow, "/"),
-			Wait: true,
-		}, indep.FollowerOptions{
-			NoFsync: *noFsync,
-			Logger:  logger,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		durable = follower.DurableStore
-		store = durable.ConcurrentStore
-	case *data != "":
-		durable, err = sch.OpenDurableStore(*data, indep.DurableOptions{
-			NoFsync:    *noFsync,
-			Logger:     logger,
-			SlowCommit: *slow,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		store = durable.ConcurrentStore
-	default:
-		store, err = sch.OpenConcurrentStore()
-		if err != nil {
-			fatal(err)
-		}
-	}
-	s.install(store, durable, follower, *slow)
-	logger.Info("ready", "fastPath", store.FastPath(), "durable", durable != nil,
-		"replica", follower != nil)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		fatal(err)
-	case <-ctx.Done():
-	}
-	// Restore default signal behavior immediately: a second SIGINT/SIGTERM
-	// during a slow drain or a hung final checkpoint must still kill us.
-	stop()
-	logger.Info("shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		logger.Warn("shutdown", "err", err)
-	}
-	switch {
-	case follower != nil:
-		// Close persists the stream position, so the next start resumes
-		// the tail instead of re-syncing from a snapshot.
-		if err := follower.Close(); err != nil {
-			logger.Error("close", "err", err)
-		}
-	case durable != nil:
-		if err := durable.Checkpoint(); err != nil {
-			logger.Error("final checkpoint", "err", err)
-		} else {
-			logger.Info("final checkpoint written")
-		}
-		if err := durable.Close(); err != nil {
-			logger.Error("close", "err", err)
-		}
-	}
 }
 
 func fatal(err error) {
@@ -256,87 +233,40 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// server bundles the schema, store, and telemetry behind the HTTP API.
-// store and durable are nil until install runs (durable stays nil for an
-// in-memory daemon); ready gates every store-backed route, and its Store
-// also publishes the store pointers to handler goroutines.
+// server is the shard tier: the shared surface with the store-backed API
+// mounted. store and durable are nil until install runs (durable stays nil
+// for an in-memory daemon); the surface's ready flag gates every
+// store-backed route and also publishes the store pointers to handler
+// goroutines.
 type server struct {
-	sch  *indep.Schema
-	log  *slog.Logger
-	reg  *indep.MetricsRegistry
-	http *httpStats
-	mux  *http.ServeMux
+	*surface
+	sch *indep.Schema
 
-	ready    atomic.Bool
 	store    *indep.ConcurrentStore
 	durable  *indep.DurableStore
 	follower *indep.Follower // non-nil in replica mode: read-only, tails a primary
-
-	// rec is the always-on flight recorder; API requests run under its
-	// root spans and /debug/trace serves what it retained.
-	rec *obs.Recorder
 }
 
-// newServer builds the daemon's handler; split from main so tests can mount
-// it on httptest. Every API route is mounted bare and under /v1/ so clients
-// can pin the versioned path. The handler works before install: probe and
+// newServer builds the shard daemon's handler; split from main so tests can
+// mount it on httptest. The handler works before install: probe and
 // metrics routes answer immediately, store routes 503.
 func newServer(sch *indep.Schema, logger *slog.Logger, pprofOn bool, rec obs.RecorderOptions) *server {
-	reg := indep.NewMetricsRegistry()
-	s := &server{
-		sch:  sch,
-		log:  logger,
-		reg:  reg,
-		http: newHTTPStats(reg),
-		mux:  http.NewServeMux(),
-		rec:  obs.NewRecorder(rec),
-	}
-	s.rec.Register(reg)
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("indepd: route pattern without method: " + pattern)
-		}
-		wrapped := s.wrap(pattern, s.whenReady(h))
-		s.mux.HandleFunc(pattern, wrapped)
-		s.mux.HandleFunc(method+" /v1"+path, wrapped)
-	}
-	handle("POST /insert", s.handleInsert)
-	handle("POST /batch", s.handleBatch)
-	handle("POST /batchbin", s.handleBatchBin)
-	handle("DELETE /tuple", s.handleDelete)
-	handle("POST /checkpoint", s.handleCheckpoint)
-	handle("GET /window", s.handleWindow)
-	handle("GET /cluster/rel", s.handleClusterRel)
-	handle("GET /state", s.handleState)
-	handle("GET /analysis", s.handleAnalysis)
-	handle("GET /stats", s.handleStats)
+	s := &server{surface: newSurface(logger, pprofOn, rec), sch: sch}
+	s.api("POST /insert", s.handleInsert)
+	s.api("POST /batch", s.handleBatch)
+	s.api("POST /batchbin", s.handleBatchBin)
+	s.api("DELETE /tuple", s.handleDelete)
+	s.api("POST /checkpoint", s.handleCheckpoint)
+	s.api("GET /window", s.handleWindow)
+	s.api("GET /cluster/rel", s.handleClusterRel)
+	s.api("GET /state", s.handleState)
+	s.api("GET /analysis", s.handleAnalysis)
+	s.api("GET /stats", s.handleStats)
 	// Replication stream: followers poll these at up to per-millisecond
 	// rates, so they log at Debug like the probe routes.
-	s.mux.HandleFunc("GET /v1/repl/wal", s.wrapAt(slog.LevelDebug, "GET /v1/repl/wal", s.whenReady(s.handleReplWal)))
-	s.mux.HandleFunc("GET /v1/repl/snapshot", s.wrapAt(slog.LevelDebug, "GET /v1/repl/snapshot", s.whenReady(s.handleReplSnapshot)))
-	// Probe and scrape routes bypass the readiness gate and log at Debug:
-	// a kubelet hitting /healthz every few seconds must not fill the log.
-	s.mux.HandleFunc("GET /metrics", s.wrapAt(slog.LevelDebug, "GET /metrics", s.handleMetrics))
-	// Flight-recorder reads are Debug-level and untraced: reading traces
-	// must not evict traces. The literal /recent route wins over the {id}
-	// wildcard by ServeMux precedence.
-	s.mux.HandleFunc("GET /debug/trace/recent", s.wrapAt(slog.LevelDebug, "GET /debug/trace/recent", s.handleTraceRecent))
-	s.mux.HandleFunc("GET /debug/trace/{id}", s.wrapAt(slog.LevelDebug, "GET /debug/trace/{id}", s.handleTraceGet))
-	s.mux.HandleFunc("GET /healthz", s.wrapAt(slog.LevelDebug, "GET /healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /readyz", s.wrapAt(slog.LevelDebug, "GET /readyz", s.handleReadyz))
-	if pprofOn {
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
+	s.route(slog.LevelDebug, "GET /v1/repl/wal", s.whenReady(s.handleReplWal))
+	s.route(slog.LevelDebug, "GET /v1/repl/snapshot", s.whenReady(s.handleReplSnapshot))
 	return s
-}
-
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
 }
 
 // install wires the opened store into the server: telemetry (slow-operation
@@ -355,20 +285,8 @@ func (s *server) install(store *indep.ConcurrentStore, durable *indep.DurableSto
 		store.RegisterMetrics(s.reg)
 	}
 	s.ready.Store(true)
-}
-
-// whenReady answers 503 until install has run. The atomic.Bool is also the
-// publication barrier for s.store/s.durable: install writes them before the
-// Store(true), handlers read them only after Load() observes true.
-func (s *server) whenReady(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.ready.Load() {
-			writeJSON(w, http.StatusServiceUnavailable,
-				map[string]any{"error": "store is recovering; try again shortly"})
-			return
-		}
-		h(w, r)
-	}
+	s.log.Info("ready", "fastPath", store.FastPath(), "durable", durable != nil,
+		"replica", follower != nil)
 }
 
 // tupleReq is the body of /insert and /tuple.
@@ -541,149 +459,11 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": deleted})
 }
 
-// parseWindowQuery decodes the /window query parameters:
-//
-//	attrs=C,T        window attribute set X (required; ',' or space separated)
-//	where=C=cs101    equality selection on a window attribute (repeatable)
-//	project=T        project the result onto a subset of attrs
-//	limit=10         cap the number of returned rows
-//
-// It validates only shape (presence, separators, integer limit); attribute
-// and value resolution happens in the store, which reports unknown names.
-func parseWindowQuery(vals url.Values) (indep.WindowQuery, error) {
-	var q indep.WindowQuery
-	split := func(s string) []string {
-		return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
-	}
-	q.Attrs = split(vals.Get("attrs"))
-	if len(q.Attrs) == 0 {
-		return q, fmt.Errorf("missing attrs parameter (e.g. ?attrs=C,T)")
-	}
-	q.Project = split(vals.Get("project"))
-	for _, w := range vals["where"] {
-		attr, val, ok := strings.Cut(w, "=")
-		if !ok || attr == "" {
-			return q, fmt.Errorf("bad where parameter %q (want attr=value)", w)
-		}
-		if q.Where == nil {
-			q.Where = make(map[string]string)
-		}
-		if prev, dup := q.Where[attr]; dup && prev != val {
-			return q, fmt.Errorf("conflicting where parameters for %s", attr)
-		}
-		q.Where[attr] = val
-	}
-	if l := vals.Get("limit"); l != "" {
-		n, err := strconv.Atoi(l)
-		if err != nil || n < 0 {
-			return q, fmt.Errorf("bad limit parameter %q", l)
-		}
-		q.Limit = n
-	}
-	if e := vals.Get("explain"); e != "" {
-		b, err := strconv.ParseBool(e)
-		if err != nil {
-			return q, fmt.Errorf("bad explain parameter %q (want a boolean, e.g. explain=1)", e)
-		}
-		q.Explain = b
-	}
-	return q, nil
-}
-
 func (s *server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	if !s.waitMinVersion(w, r) {
 		return
 	}
-	q, err := parseWindowQuery(r.URL.Query())
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-		return
-	}
-	// A client accepting the binary media type gets the streamed binary
-	// result: no rendered row maps, no JSON encode, counts carried in-band.
-	if strings.Contains(r.Header.Get("Accept"), indep.BinContentType) {
-		q.BinaryResult = true
-	}
-	start := time.Now()
-	res, err := s.store.QueryCtx(r.Context(), q)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if q.BinaryResult {
-		w.Header().Set("Content-Type", indep.BinContentType)
-		w.WriteHeader(http.StatusOK)
-		w.Write(res.Bin)
-		return
-	}
-	rows := res.Rows
-	if rows == nil {
-		rows = []map[string]string{}
-	}
-	body := map[string]any{
-		"attrs":      res.Attrs,
-		"rows":       rows,
-		"rowCount":   len(rows),
-		"total":      res.Total,
-		"fastPath":   res.FastPath,
-		"planCached": res.PlanCached,
-		"elapsedNs":  time.Since(start).Nanoseconds(),
-	}
-	if res.Explain != nil {
-		body["explain"] = res.Explain
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// handleTraceGet serves one retained trace by ID. 404 means the ID was
-// never retained (tail sampling dropped it) or has been evicted from the
-// ring — not that the request never happened.
-func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	id := strings.ToLower(r.PathValue("id"))
-	if !indep.ValidTraceID(id) {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": "bad trace id (want 16 hex characters)"})
-		return
-	}
-	tv, ok := s.rec.Get(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]any{
-			"error": "trace not retained (sampled out or evicted)"})
-		return
-	}
-	writeJSON(w, http.StatusOK, tv)
-}
-
-// handleTraceRecent lists retained traces, newest first:
-//
-//	min_ms=50          only traces lasting at least 50ms
-//	route=POST /insert only traces of that route
-//	limit=20           cap the listing (default 50)
-func (s *server) handleTraceRecent(w http.ResponseWriter, r *http.Request) {
-	vals := r.URL.Query()
-	var minDur time.Duration
-	if m := vals.Get("min_ms"); m != "" {
-		ms, err := strconv.ParseFloat(m, 64)
-		if err != nil || ms < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": fmt.Sprintf("bad min_ms parameter %q", m)})
-			return
-		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
-	}
-	limit := 50
-	if l := vals.Get("limit"); l != "" {
-		n, err := strconv.Atoi(l)
-		if err != nil || n <= 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": fmt.Sprintf("bad limit parameter %q", l)})
-			return
-		}
-		limit = n
-	}
-	traces := s.rec.Recent(minDur, vals.Get("route"), limit)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":  len(traces),
-		"traces": traces,
-	})
+	serveWindow(w, r, s.store.QueryCtx, writeErr)
 }
 
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
@@ -737,17 +517,10 @@ func (s *server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// quantNs renders a latency histogram snapshot as nanosecond quantiles.
-func quantNs(h indep.HistSnapshot) map[string]any {
-	p50, p90, p99, p999 := h.Quantiles()
-	return map[string]any{
-		"count": h.Count, "p50Ns": p50, "p90Ns": p90, "p99Ns": p99, "p999Ns": p999,
-	}
-}
-
-// handleStats reports the same numbers /metrics exposes — both read the
-// shared histograms and counters, so a JSON probe and a Prometheus scrape
-// can never disagree.
+// handleStats reports what /metrics does not carry: per-relation counters
+// keyed by relation name, whether the store is durable, and the node's
+// replication role (with, on a primary, its flushed position). WAL, query
+// and commit-wait figures live only in /metrics.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := s.store.Stats()
 	rels := make([]map[string]any, len(stats))
@@ -764,66 +537,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"p999Ns":   st.P999.Nanoseconds(),
 		}
 	}
-	qs := s.store.QueryStats()
-	out := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"relations":   rels,
 		"durable":     s.durable != nil,
 		"replication": s.replStatsSection(),
-		"query": map[string]any{
-			"queries":        qs.Queries,
-			"planHits":       qs.PlanHits,
-			"fastEvals":      qs.FastEvals,
-			"chaseEvals":     qs.ChaseEvals,
-			"snapshotReuses": qs.SnapshotReuses,
-			"snapshotCopies": qs.SnapshotCopies,
-		},
-	}
-	if s.durable != nil {
-		ws := s.durable.WAL()
-		write, fsync, group := s.durable.WALLatency()
-		out["wal"] = map[string]any{
-			"segments":     ws.Segments,
-			"oldestSeq":    ws.OldestSeq,
-			"activeSeq":    ws.ActiveSeq,
-			"activeBytes":  ws.ActiveBytes,
-			"totalBytes":   ws.TotalBytes,
-			"records":      ws.Records,
-			"syncs":        ws.Syncs,
-			"commitGroups": ws.CommitGroups,
-			"write":        quantNs(write),
-			"fsync":        quantNs(fsync),
-			"recordsPerGroup": map[string]any{
-				"count": group.Count,
-				"mean":  group.Mean(),
-				"p50":   group.Quantile(0.50),
-				"p99":   group.Quantile(0.99),
-			},
-		}
-		out["commitWait"] = quantNs(s.durable.CommitWaitStats())
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleMetrics serves the registry in Prometheus text exposition format
-// 0.0.4. Works before readiness: store families appear once install has
-// registered them, HTTP families from the first request on.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WriteTo(w)
-}
-
-// handleHealthz is process liveness: 200 as soon as the listener accepts,
-// even while recovery replays the log.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
-}
-
-// handleReadyz is readiness: 503 until the store is installed (recovery
-// finished, telemetry wired), 200 afterwards.
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "starting"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+	})
 }

@@ -81,7 +81,7 @@ func do(t *testing.T, method, url string, body any) (*http.Response, map[string]
 func TestServerInsertStateDelete(t *testing.T) {
 	ts, _ := newTestServer(t, "CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R")
 
-	resp, out := do(t, "POST", ts.URL+"/insert", map[string]any{
+	resp, out := do(t, "POST", ts.URL+"/v1/insert", map[string]any{
 		"relation": "CT", "row": map[string]string{"C": "cs101", "T": "jones"},
 	})
 	if resp.StatusCode != http.StatusOK || out["status"] != "ok" {
@@ -89,7 +89,7 @@ func TestServerInsertStateDelete(t *testing.T) {
 	}
 
 	// Conflicting insert: 409 with rejected=true.
-	resp, out = do(t, "POST", ts.URL+"/insert", map[string]any{
+	resp, out = do(t, "POST", ts.URL+"/v1/insert", map[string]any{
 		"relation": "CT", "row": map[string]string{"C": "cs101", "T": "smith"},
 	})
 	if resp.StatusCode != http.StatusConflict || out["rejected"] != true {
@@ -97,14 +97,14 @@ func TestServerInsertStateDelete(t *testing.T) {
 	}
 
 	// Malformed insert: 400, not rejected.
-	resp, out = do(t, "POST", ts.URL+"/insert", map[string]any{
+	resp, out = do(t, "POST", ts.URL+"/v1/insert", map[string]any{
 		"relation": "NOPE", "row": map[string]string{"C": "x"},
 	})
 	if resp.StatusCode != http.StatusBadRequest || out["rejected"] != false {
 		t.Fatalf("malformed: %d %v", resp.StatusCode, out)
 	}
 
-	resp, out = do(t, "GET", ts.URL+"/state", nil)
+	resp, out = do(t, "GET", ts.URL+"/v1/state", nil)
 	if resp.StatusCode != http.StatusOK || out["rows"].(float64) != 1 {
 		t.Fatalf("state: %d %v", resp.StatusCode, out)
 	}
@@ -114,13 +114,13 @@ func TestServerInsertStateDelete(t *testing.T) {
 		t.Fatalf("state rows: %v", rels)
 	}
 
-	resp, out = do(t, "DELETE", ts.URL+"/tuple", map[string]any{
+	resp, out = do(t, "DELETE", ts.URL+"/v1/tuple", map[string]any{
 		"relation": "CT", "row": map[string]string{"C": "cs101", "T": "jones"},
 	})
 	if resp.StatusCode != http.StatusOK || out["deleted"] != true {
 		t.Fatalf("delete: %d %v", resp.StatusCode, out)
 	}
-	resp, out = do(t, "DELETE", ts.URL+"/tuple", map[string]any{
+	resp, out = do(t, "DELETE", ts.URL+"/v1/tuple", map[string]any{
 		"relation": "CT", "row": map[string]string{"C": "cs101", "T": "jones"},
 	})
 	if resp.StatusCode != http.StatusOK || out["deleted"] != false {
@@ -128,7 +128,7 @@ func TestServerInsertStateDelete(t *testing.T) {
 	}
 
 	// After the delete, the previously conflicting teacher is admissible.
-	resp, _ = do(t, "POST", ts.URL+"/insert", map[string]any{
+	resp, _ = do(t, "POST", ts.URL+"/v1/insert", map[string]any{
 		"relation": "CT", "row": map[string]string{"C": "cs101", "T": "smith"},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -148,7 +148,7 @@ func TestServerBatchAtomic(t *testing.T) {
 		{"relation": "CT", "row": map[string]string{"C": "CS402", "T": "Jones"}},
 		{"relation": "TD", "row": map[string]string{"T": "Jones", "D": "EE"}},
 	}}
-	resp, out := do(t, "POST", ts.URL+"/batch", bad)
+	resp, out := do(t, "POST", ts.URL+"/v1/batch", bad)
 	if resp.StatusCode != http.StatusConflict || out["rejected"] != true {
 		t.Fatalf("bad batch: %d %v", resp.StatusCode, out)
 	}
@@ -161,7 +161,7 @@ func TestServerBatchAtomic(t *testing.T) {
 		{"relation": "CT", "row": map[string]string{"C": "CS402", "T": "Jones"}},
 		{"relation": "TD", "row": map[string]string{"T": "Jones", "D": "CS"}},
 	}}
-	resp, out = do(t, "POST", ts.URL+"/batch", good)
+	resp, out = do(t, "POST", ts.URL+"/v1/batch", good)
 	if resp.StatusCode != http.StatusOK || out["accepted"].(float64) != 3 {
 		t.Fatalf("good batch: %d %v", resp.StatusCode, out)
 	}
@@ -173,7 +173,7 @@ func TestServerBatchAtomic(t *testing.T) {
 func TestServerAnalysisAndStats(t *testing.T) {
 	ts, _ := newTestServer(t, "CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R")
 
-	resp, out := do(t, "GET", ts.URL+"/analysis", nil)
+	resp, out := do(t, "GET", ts.URL+"/v1/analysis", nil)
 	if resp.StatusCode != http.StatusOK || out["independent"] != true || out["fastPath"] != true {
 		t.Fatalf("analysis: %d %v", resp.StatusCode, out)
 	}
@@ -182,14 +182,14 @@ func TestServerAnalysisAndStats(t *testing.T) {
 		t.Fatalf("analysis covers: %v", covers)
 	}
 
-	do(t, "POST", ts.URL+"/insert", map[string]any{
+	do(t, "POST", ts.URL+"/v1/insert", map[string]any{
 		"relation": "CT", "row": map[string]string{"C": "cs101", "T": "jones"},
 	})
-	do(t, "POST", ts.URL+"/insert", map[string]any{
+	do(t, "POST", ts.URL+"/v1/insert", map[string]any{
 		"relation": "CT", "row": map[string]string{"C": "cs101", "T": "smith"},
 	})
 
-	resp, out = do(t, "GET", ts.URL+"/stats", nil)
+	resp, out = do(t, "GET", ts.URL+"/v1/stats", nil)
 	if resp.StatusCode != http.StatusOK || out["durable"] != false {
 		t.Fatalf("stats: %d %v", resp.StatusCode, out)
 	}
@@ -206,7 +206,7 @@ func TestServerAnalysisAndStats(t *testing.T) {
 	}
 
 	// In-memory servers refuse /checkpoint.
-	resp, out = do(t, "POST", ts.URL+"/checkpoint", nil)
+	resp, out = do(t, "POST", ts.URL+"/v1/checkpoint", nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("checkpoint on in-memory store: %d %v", resp.StatusCode, out)
 	}
@@ -245,14 +245,17 @@ func TestServerDurableCheckpointAndRestart(t *testing.T) {
 		}
 	}
 
-	// WAL depth shows up in stats.
+	// WAL depth shows up in the scrape.
 	resp, out := do(t, "GET", ts.URL+"/v1/stats", nil)
 	if resp.StatusCode != http.StatusOK || out["durable"] != true {
 		t.Fatalf("stats: %d %v", resp.StatusCode, out)
 	}
-	wal := out["wal"].(map[string]any)
-	if wal["records"].(float64) < 2 || wal["totalBytes"].(float64) <= 0 {
-		t.Fatalf("wal stats: %v", wal)
+	fams := scrape(t, ts.URL)
+	if n := sampleSum(fams, "indep_wal_records_total"); n < 2 {
+		t.Fatalf("indep_wal_records_total = %v, want >= 2", n)
+	}
+	if n := sampleSum(fams, "indep_wal_live_bytes"); n <= 0 {
+		t.Fatalf("indep_wal_live_bytes = %v, want > 0", n)
 	}
 
 	resp, out = do(t, "POST", ts.URL+"/v1/checkpoint", nil)
@@ -278,7 +281,7 @@ func TestServerDurableCheckpointAndRestart(t *testing.T) {
 func TestServerBadJSONAndMethods(t *testing.T) {
 	ts, _ := newTestServer(t, "CT(C,T)", "C -> T")
 
-	resp, err := http.Post(ts.URL+"/insert", "application/json", bytes.NewBufferString("{nope"))
+	resp, err := http.Post(ts.URL+"/v1/insert", "application/json", bytes.NewBufferString("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +291,7 @@ func TestServerBadJSONAndMethods(t *testing.T) {
 	}
 
 	// Wrong method on a routed pattern.
-	resp, err = http.Get(ts.URL + "/insert")
+	resp, err = http.Get(ts.URL + "/v1/insert")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +313,7 @@ func TestServerWindowIndependent(t *testing.T) {
 		{"relation": "CS", "row": map[string]string{"C": "cs101", "S": "bob"}},
 		{"relation": "CS", "row": map[string]string{"C": "cs999", "S": "eve"}},
 	} {
-		if resp, out := do(t, "POST", ts.URL+"/insert", op); resp.StatusCode != http.StatusOK {
+		if resp, out := do(t, "POST", ts.URL+"/v1/insert", op); resp.StatusCode != http.StatusOK {
 			t.Fatalf("insert: %d %v", resp.StatusCode, out)
 		}
 	}
@@ -329,7 +332,7 @@ func TestServerWindowIndependent(t *testing.T) {
 	}
 
 	// Selection and projection.
-	resp, out = do(t, "GET", ts.URL+"/window?attrs=C,S,T&where=S=ada&project=T", nil)
+	resp, out = do(t, "GET", ts.URL+"/v1/window?attrs=C,S,T&where=S=ada&project=T", nil)
 	if resp.StatusCode != http.StatusOK || out["rowCount"].(float64) != 1 {
 		t.Fatalf("filtered window: %d %v", resp.StatusCode, out)
 	}
@@ -339,20 +342,20 @@ func TestServerWindowIndependent(t *testing.T) {
 	}
 
 	// Limit.
-	resp, out = do(t, "GET", ts.URL+"/window?attrs=C,S&limit=1", nil)
+	resp, out = do(t, "GET", ts.URL+"/v1/window?attrs=C,S&limit=1", nil)
 	if resp.StatusCode != http.StatusOK || out["rowCount"].(float64) != 1 || out["total"].(float64) != 3 {
 		t.Fatalf("limited window: %d %v", resp.StatusCode, out)
 	}
 
 	// Second identical attribute set hits the plan cache.
-	resp, out = do(t, "GET", ts.URL+"/window?attrs=C,S,T", nil)
+	resp, out = do(t, "GET", ts.URL+"/v1/window?attrs=C,S,T", nil)
 	if resp.StatusCode != http.StatusOK || out["planCached"] != true {
 		t.Fatalf("plan cache: %d %v", resp.StatusCode, out)
 	}
 
 	// Malformed requests.
 	for _, q := range []string{"", "?attrs=", "?attrs=C&where=nope", "?attrs=C&limit=x", "?attrs=NO"} {
-		resp, out := do(t, "GET", ts.URL+"/window"+q, nil)
+		resp, out := do(t, "GET", ts.URL+"/v1/window"+q, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("window%s: %d %v, want 400", q, resp.StatusCode, out)
 		}
@@ -368,7 +371,7 @@ func TestServerWindowChaseFallback(t *testing.T) {
 		{"relation": "AB", "row": map[string]string{"A": "a1", "B": "b1"}},
 		{"relation": "BC", "row": map[string]string{"B": "b1", "C": "c1"}},
 	} {
-		if resp, out := do(t, "POST", ts.URL+"/insert", op); resp.StatusCode != http.StatusOK {
+		if resp, out := do(t, "POST", ts.URL+"/v1/insert", op); resp.StatusCode != http.StatusOK {
 			t.Fatalf("insert: %d %v", resp.StatusCode, out)
 		}
 	}

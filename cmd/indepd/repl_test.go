@@ -66,7 +66,7 @@ func TestReplicaPairServesFollowerReads(t *testing.T) {
 
 	var version string
 	for i := 0; i < 20; i++ {
-		resp, body := do(t, "POST", primary.URL+"/insert", map[string]any{
+		resp, body := do(t, "POST", primary.URL+"/v1/insert", map[string]any{
 			"relation": "CT", "row": map[string]string{"C": fmt.Sprintf("c%02d", i), "T": "t"},
 		})
 		if resp.StatusCode != http.StatusOK {
@@ -79,7 +79,7 @@ func TestReplicaPairServesFollowerReads(t *testing.T) {
 	}
 
 	// A token-gated read on the replica returns the writes once applied.
-	req, _ := http.NewRequest("GET", replica.URL+"/window?attrs=C,T", nil)
+	req, _ := http.NewRequest("GET", replica.URL+"/v1/window?attrs=C,T", nil)
 	req.Header.Set("X-Indep-Min-Version", version)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -107,10 +107,10 @@ func TestReplicaPairServesFollowerReads(t *testing.T) {
 		method, path string
 		body         any
 	}{
-		{"POST", "/insert", map[string]any{"relation": "CT", "row": map[string]string{"C": "x", "T": "y"}}},
-		{"POST", "/batch", map[string]any{"ops": []any{}}},
-		{"DELETE", "/tuple", map[string]any{"relation": "CT", "row": map[string]string{"C": "c00", "T": "t"}}},
-		{"POST", "/checkpoint", nil},
+		{"POST", "/v1/insert", map[string]any{"relation": "CT", "row": map[string]string{"C": "x", "T": "y"}}},
+		{"POST", "/v1/batch", map[string]any{"ops": []any{}}},
+		{"DELETE", "/v1/tuple", map[string]any{"relation": "CT", "row": map[string]string{"C": "c00", "T": "t"}}},
+		{"POST", "/v1/checkpoint", nil},
 	} {
 		resp, body := do(t, probe.method, replica.URL+probe.path, probe.body)
 		if resp.StatusCode != http.StatusForbidden {
@@ -119,10 +119,10 @@ func TestReplicaPairServesFollowerReads(t *testing.T) {
 	}
 
 	// Roles under /stats.
-	if _, body := do(t, "GET", primary.URL+"/stats", nil); body["replication"].(map[string]any)["role"] != "primary" {
+	if _, body := do(t, "GET", primary.URL+"/v1/stats", nil); body["replication"].(map[string]any)["role"] != "primary" {
 		t.Fatalf("primary role: %v", body["replication"])
 	}
-	_, body := do(t, "GET", replica.URL+"/stats", nil)
+	_, body := do(t, "GET", replica.URL+"/v1/stats", nil)
 	repl := body["replication"].(map[string]any)
 	if repl["role"] != "follower" {
 		t.Fatalf("replica role: %v", repl)
@@ -132,7 +132,7 @@ func TestReplicaPairServesFollowerReads(t *testing.T) {
 	}
 
 	// A bad min-version token is the client's fault.
-	req, _ = http.NewRequest("GET", replica.URL+"/window?attrs=C", nil)
+	req, _ = http.NewRequest("GET", replica.URL+"/v1/window?attrs=C", nil)
 	req.Header.Set("X-Indep-Min-Version", "not-a-position")
 	if resp, _ := doReq(t, req); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad token: %d, want 400", resp.StatusCode)
@@ -145,7 +145,7 @@ func TestReplicaPairServesFollowerReads(t *testing.T) {
 func TestReplWalEndpointEdges(t *testing.T) {
 	primary, _ := newDurableTestServer(t, t.TempDir(), "CT(C,T)", "C -> T")
 	for i := 0; i < 5; i++ {
-		do(t, "POST", primary.URL+"/insert", map[string]any{
+		do(t, "POST", primary.URL+"/v1/insert", map[string]any{
 			"relation": "CT", "row": map[string]string{"C": fmt.Sprintf("c%d", i), "T": "t"},
 		})
 	}
@@ -169,7 +169,7 @@ func TestReplWalEndpointEdges(t *testing.T) {
 	}
 
 	// Checkpoint truncates segment 1 away: 410 tells followers to re-sync.
-	if resp, body := do(t, "POST", primary.URL+"/checkpoint", nil); resp.StatusCode != http.StatusOK {
+	if resp, body := do(t, "POST", primary.URL+"/v1/checkpoint", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkpoint: %d %v", resp.StatusCode, body)
 	}
 	if resp, _ := do(t, "GET", primary.URL+"/v1/repl/wal?pos=1/16", nil); resp.StatusCode != http.StatusGone {
@@ -208,7 +208,7 @@ func TestReadYourWritesUnderConcurrentLoad(t *testing.T) {
 			client := &http.Client{}
 			for i := 0; i < writes; i++ {
 				key := fmt.Sprintf("w%d-%d", wr, i)
-				resp, body := do(t, "POST", primary.URL+"/insert", map[string]any{
+				resp, body := do(t, "POST", primary.URL+"/v1/insert", map[string]any{
 					"relation": "CT", "row": map[string]string{"C": key, "T": "t-" + key},
 				})
 				if resp.StatusCode != http.StatusOK {
@@ -224,7 +224,7 @@ func TestReadYourWritesUnderConcurrentLoad(t *testing.T) {
 				deadline := time.Now().Add(10 * time.Second)
 				for {
 					req, _ := http.NewRequest("GET",
-						replica.URL+"/window?attrs=C,T&where=C="+key, nil)
+						replica.URL+"/v1/window?attrs=C,T&where=C="+key, nil)
 					req.Header.Set("X-Indep-Min-Version", token)
 					resp, err := client.Do(req)
 					if err != nil {

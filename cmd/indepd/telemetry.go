@@ -1,7 +1,6 @@
 package main
 
 import (
-	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -117,62 +116,4 @@ func requestTraceID(r *http.Request) string {
 		}
 	}
 	return obs.NewTraceID()
-}
-
-// wrap is the access-log and metrics middleware, applied per route so the
-// log and the metric labels carry the registered pattern rather than the
-// raw URL (which may embed user data).
-func (s *server) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
-	return s.wrapAt(slog.LevelInfo, route, h)
-}
-
-// wrapAt is wrap with an explicit access-log level; probe and scrape
-// routes log at Debug so periodic health checks don't fill the log.
-//
-// Info-level (API) routes additionally run under the flight recorder: the
-// middleware opens the request's root span, handlers grow the span tree
-// through the store and engine, and on completion the recorder decides —
-// tail-based — whether the trace is worth keeping. Debug-level routes
-// (probes, scrapes, the /debug/trace endpoints themselves) are never
-// traced, so a kubelet can't flood the sampler.
-func (s *server) wrapAt(level slog.Level, route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.http.routeHist(route)
-	traced := level >= slog.LevelInfo
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		trace := requestTraceID(r)
-		w.Header().Set(traceHeader, trace)
-		ctx := obs.WithTrace(r.Context(), trace)
-		var tr *obs.RequestTrace
-		if traced {
-			var root *obs.Span
-			tr, root = s.rec.Start(trace, route)
-			if root.Recording() {
-				root.SetAttr("method", r.Method)
-				ctx = obs.ContextWithSpan(ctx, root)
-			}
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		s.http.inflight.Add(1)
-		h(sw, r.WithContext(ctx))
-		s.http.inflight.Add(-1)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		d := time.Since(start)
-		if tr != nil {
-			root := tr.Root()
-			root.SetInt("status", int64(sw.status))
-			root.SetInt("resp_bytes", sw.bytes)
-			s.rec.Finish(tr, sw.status)
-		}
-		s.http.note(route, r.Method, sw.status, d, hist)
-		s.log.Log(r.Context(), level, "request",
-			"trace", trace,
-			"method", r.Method,
-			"route", route,
-			"status", sw.status,
-			"bytes", sw.bytes,
-			"duration", d)
-	}
 }

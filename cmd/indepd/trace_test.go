@@ -136,14 +136,14 @@ func TestTraceRecent(t *testing.T) {
 	ts, _ := newTestServer(t, "CT(C,T)", "C -> T")
 
 	for i := 0; i < 3; i++ {
-		resp, out := do(t, "POST", ts.URL+"/insert", map[string]any{
+		resp, out := do(t, "POST", ts.URL+"/v1/insert", map[string]any{
 			"relation": "CT", "row": map[string]string{"C": "c" + strconv.Itoa(i), "T": "t"},
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("insert %d: %d %v", i, resp.StatusCode, out)
 		}
 	}
-	do(t, "GET", ts.URL+"/state", nil)
+	do(t, "GET", ts.URL+"/v1/state", nil)
 
 	resp, out := do(t, "GET", ts.URL+"/debug/trace/recent?route="+url.QueryEscape("POST /insert"), nil)
 	if resp.StatusCode != http.StatusOK {
@@ -171,7 +171,7 @@ func TestTraceRecent(t *testing.T) {
 func TestWindowExplainMatchesStats(t *testing.T) {
 	ts, store := newTestServer(t, "CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R")
 
-	resp, out := do(t, "POST", ts.URL+"/insert", map[string]any{
+	resp, out := do(t, "POST", ts.URL+"/v1/insert", map[string]any{
 		"relation": "CT", "row": map[string]string{"C": "cs101", "T": "jones"},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -179,7 +179,7 @@ func TestWindowExplainMatchesStats(t *testing.T) {
 	}
 
 	before := store.QueryStats()
-	resp, out = do(t, "GET", ts.URL+"/window?attrs=C,T&explain=1", nil)
+	resp, out = do(t, "GET", ts.URL+"/v1/window?attrs=C,T&explain=1", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("window: %d %v", resp.StatusCode, out)
 	}
@@ -231,7 +231,7 @@ func TestWindowExplainMatchesStats(t *testing.T) {
 
 	// A repeat of the same window hits the plan cache, and explain says so.
 	before = store.QueryStats()
-	resp, out = do(t, "GET", ts.URL+"/window?attrs=C,T&explain=true", nil)
+	resp, out = do(t, "GET", ts.URL+"/v1/window?attrs=C,T&explain=true", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("window 2: %d %v", resp.StatusCode, out)
 	}
@@ -243,12 +243,12 @@ func TestWindowExplainMatchesStats(t *testing.T) {
 	}
 
 	// Without explain the field stays off the wire.
-	_, out = do(t, "GET", ts.URL+"/window?attrs=C,T", nil)
+	_, out = do(t, "GET", ts.URL+"/v1/window?attrs=C,T", nil)
 	if _, present := out["explain"]; present {
 		t.Fatalf("explain leaked into a plain window response: %v", out)
 	}
 	// Malformed explain values are a 400, not a silent default.
-	resp, out = do(t, "GET", ts.URL+"/window?attrs=C,T&explain=maybe", nil)
+	resp, out = do(t, "GET", ts.URL+"/v1/window?attrs=C,T&explain=maybe", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("explain=maybe: %d %v", resp.StatusCode, out)
 	}

@@ -345,21 +345,6 @@ func (ds *DurableStore) Recovery() RecoveryStats { return ds.recovery }
 // bytes of replay debt, append and fsync counts.
 func (ds *DurableStore) WAL() wal.LogStats { return ds.log.Stats() }
 
-// WALLatency returns snapshots of the write-ahead log's write-latency,
-// fsync-latency, and records-per-commit-group histograms — the same data
-// the registry exposes, for callers (like indepd's /stats) that want
-// quantiles as JSON rather than an exposition scrape.
-func (ds *DurableStore) WALLatency() (write, fsync, groupRecords HistSnapshot) {
-	return ds.log.LatencyStats()
-}
-
-// CommitWaitStats returns a snapshot of the commit-to-durable wait
-// histogram: how long Insert/InsertBatch/Delete callers blocked between
-// the in-memory commit and the fsync ack.
-func (ds *DurableStore) CommitWaitStats() HistSnapshot {
-	return ds.commitWait.Snapshot()
-}
-
 // Checkpoint serializes a consistent snapshot of the store (state and
 // dictionary) next to the log and truncates the segments it covers. The
 // cut is exact: the log rotates at the snapshot point while every state

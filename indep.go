@@ -18,9 +18,9 @@
 //   - Schema.Closure / EmbeddedClosure: FD inference under F ∪ {*D}.
 //   - Schema.NewDatabase: states, weak-instance satisfaction checks (the
 //     chase), and local-consistency checks.
-//   - Schema.OpenStore: a maintained database that uses the O(|F_i|)
-//     per-relation guard when the schema is independent and the chase
-//     otherwise.
+//   - Schema.OpenConcurrentStore: a maintained database that uses the
+//     O(|F_i|) per-relation guard when the schema is independent and the
+//     chase otherwise (OpenDurableStore adds a write-ahead log).
 //
 // Everything is implemented from scratch on the Go standard library; the
 // heavy lifting lives in internal/ packages (chase engine, tagged tableaux,
@@ -164,7 +164,7 @@ type Analysis struct {
 	Reason string
 	// RelationCovers maps each relation name to the embedded FD cover F_i
 	// that suffices for maintaining it (meaningful when Independent; these
-	// are the FDs the fast Store guard enforces).
+	// are the FDs the store's fast-path guard enforces).
 	RelationCovers map[string][]string
 	// PartitionKeys maps each relation name to the attributes a cluster may
 	// hash-partition it by without breaking local validation: the

@@ -138,7 +138,8 @@ func (t *HTTPTransport) Relation(ctx context.Context, rel string) (*indep.Window
 
 // Window implements Transport over GET /v1/window. The binary result
 // carries everything but the explain plan, so an Explain query falls back
-// to the JSON encoding.
+// to the JSON encoding unless it asked for a BinaryResult, which keeps the
+// shard's body verbatim in Bin (Rows nil), as a local store would answer.
 func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
 	vals := url.Values{}
 	vals.Set("attrs", strings.Join(q.Attrs, ","))
@@ -152,7 +153,7 @@ func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep
 		vals.Set("limit", strconv.Itoa(q.Limit))
 	}
 	accept := indep.BinContentType
-	if q.Explain {
+	if q.Explain && !q.BinaryResult {
 		vals.Set("explain", "1")
 		accept = "application/json"
 	}
@@ -163,10 +164,13 @@ func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep
 	if status != http.StatusOK {
 		return nil, &ShardError{Shard: t.Shard, Status: status, Err: fmt.Errorf("%s", strings.TrimSpace(string(data)))}
 	}
-	if !q.Explain {
+	if accept == indep.BinContentType {
 		res, err := indep.DecodeWindowBinary(data)
 		if err != nil {
 			return nil, &ShardError{Shard: t.Shard, Status: status, Err: err}
+		}
+		if q.BinaryResult {
+			res.Rows, res.Bin = nil, data
 		}
 		return res, nil
 	}

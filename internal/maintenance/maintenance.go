@@ -18,7 +18,6 @@ import (
 	"indep/internal/chase"
 	"indep/internal/fd"
 	"indep/internal/hashkey"
-	"indep/internal/independence"
 	"indep/internal/infer"
 	"indep/internal/relation"
 	"indep/internal/schema"
@@ -448,17 +447,3 @@ func (m *ChaseMaintainer) Delete(scheme int, t relation.Tuple) (bool, error) {
 
 // State implements Maintainer.
 func (m *ChaseMaintainer) State() *relation.State { return m.st }
-
-// ForSchema picks the right maintainer for a schema: the O(|F_i|) Guard
-// when the independence decision procedure accepts, otherwise the chase
-// maintainer. The boolean reports which one was chosen.
-func ForSchema(s *schema.Schema, fds fd.List, caps chase.Caps) (Maintainer, bool, error) {
-	res, err := independence.Decide(s, fds)
-	if err != nil {
-		return nil, false, err
-	}
-	if res.Independent {
-		return NewGuard(s, res.Cover), true, nil
-	}
-	return NewChaseMaintainer(s, fds, !infer.AllEmbedded(s, fds), caps), false, nil
-}

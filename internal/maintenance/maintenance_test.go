@@ -117,27 +117,6 @@ func TestChaseMaintainerExample1(t *testing.T) {
 	}
 }
 
-func TestForSchemaPicksGuard(t *testing.T) {
-	s := schema.MustParse("CT(C,T); CS(C,S); CHR(C,H,R)")
-	fds := fd.MustParse(s.U, "C -> T; C H -> R")
-	m, fast, err := ForSchema(s, fds, chase.DefaultCaps)
-	if err != nil || !fast {
-		t.Fatalf("independent schema must get the guard (err=%v)", err)
-	}
-	if _, ok := m.(*Guard); !ok {
-		t.Fatalf("maintainer is %T", m)
-	}
-	s2 := schema.MustParse("CD(C,D); CT(C,T); TD(T,D)")
-	fds2 := fd.MustParse(s2.U, "C -> D; C -> T; T -> D")
-	m2, fast2, err := ForSchema(s2, fds2, chase.DefaultCaps)
-	if err != nil || fast2 {
-		t.Fatalf("non-independent schema must get the chaser (err=%v)", err)
-	}
-	if _, ok := m2.(*ChaseMaintainer); !ok {
-		t.Fatalf("maintainer is %T", m2)
-	}
-}
-
 // buildReductionInput makes a small universal relation and schema for the
 // Theorem 1 construction.
 func buildReductionInput() (*attrset.Universe, *relation.Instance, []attrset.Set, attrset.Set) {

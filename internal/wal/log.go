@@ -125,13 +125,6 @@ type Log struct {
 	groupRecs obs.Histogram // records coalesced per commit group
 }
 
-// LatencyStats returns snapshots of the log's write-latency, fsync-latency,
-// and records-per-commit-group histograms — the same histograms /metrics
-// exposes, so /stats and a scrape always agree.
-func (l *Log) LatencyStats() (write, fsync, groupRecords obs.HistSnapshot) {
-	return l.writeLat.Snapshot(), l.fsyncLat.Snapshot(), l.groupRecs.Snapshot()
-}
-
 // RegisterMetrics files the log's metric families with the registry.
 func (l *Log) RegisterMetrics(r *obs.Registry) {
 	r.RegisterHistogram("indep_wal_write_duration_seconds",

@@ -14,11 +14,6 @@ type MetricsRegistry = obs.Registry
 // NewMetricsRegistry returns an empty metric registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// HistSnapshot aliases the internal histogram snapshot type, so accessors
-// like DurableStore.WALLatency can hand quantile-capable snapshots to
-// callers outside the module.
-type HistSnapshot = obs.HistSnapshot
-
 // NewTraceID returns a fresh 16-hex-character request trace ID.
 func NewTraceID() string { return obs.NewTraceID() }
 

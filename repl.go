@@ -86,39 +86,50 @@ func (ds *DurableStore) ReplPosition() wal.Position { return ds.log.Flushed() }
 // state interns values in whatever order fragments arrive, and only the
 // named contents are contractually equal to a single node's.
 func DiffDatabasesByName(a, b *Database) []string {
-	var diffs []string
+	diffs := diffTuples(a, b, renderTuple)
+	sort.Strings(diffs)
+	return diffs
+}
+
+// renderTuple renders a tuple by value names; a nil dictionary falls back
+// to numerals.
+func renderTuple(db *Database, t relation.Tuple) string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = db.st.Dict.Name(v)
+	}
+	return "(" + strings.Join(parts, ",") + ")"
+}
+
+// diffTuples is the per-relation set diff both oracles share: tuples are
+// equal when key maps them to the same string, and each tuple found on one
+// side only is reported rendered by name. The result is unsorted.
+func diffTuples(a, b *Database, key func(*Database, relation.Tuple) string) []string {
 	if len(a.st.Insts) != len(b.st.Insts) {
 		return []string{fmt.Sprintf("relation counts differ: %d vs %d", len(a.st.Insts), len(b.st.Insts))}
 	}
-	render := func(db *Database, t relation.Tuple) string {
-		parts := make([]string, len(t))
-		for i, v := range t {
-			parts[i] = db.st.Dict.Name(v)
-		}
-		return "(" + strings.Join(parts, ",") + ")"
-	}
+	var diffs []string
 	for i := range a.st.Insts {
 		name := a.schema.s.Name(i)
-		am := make(map[string]bool, a.st.Insts[i].Len())
-		for _, t := range a.st.Insts[i].Rows() {
-			am[render(a, t)] = true
+		set := func(db *Database) map[string]relation.Tuple {
+			m := make(map[string]relation.Tuple, db.st.Insts[i].Len())
+			for _, t := range db.st.Insts[i].Rows() {
+				m[key(db, t)] = t
+			}
+			return m
 		}
-		bm := make(map[string]bool, b.st.Insts[i].Len())
-		for _, t := range b.st.Insts[i].Rows() {
-			bm[render(b, t)] = true
-		}
-		for k := range am {
-			if !bm[k] {
-				diffs = append(diffs, fmt.Sprintf("%s: %s only in first", name, k))
+		am, bm := set(a), set(b)
+		for k, t := range am {
+			if _, ok := bm[k]; !ok {
+				diffs = append(diffs, fmt.Sprintf("%s: %s only in first", name, renderTuple(a, t)))
 			}
 		}
-		for k := range bm {
-			if !am[k] {
-				diffs = append(diffs, fmt.Sprintf("%s: %s only in second", name, k))
+		for k, t := range bm {
+			if _, ok := am[k]; !ok {
+				diffs = append(diffs, fmt.Sprintf("%s: %s only in second", name, renderTuple(b, t)))
 			}
 		}
 	}
-	sort.Strings(diffs)
 	return diffs
 }
 
@@ -138,37 +149,9 @@ func tupleKey(t relation.Tuple) string {
 // Replication's correctness claim is exactly "this returns nil between
 // primary and any caught-up follower, after any fault schedule".
 func DiffDatabases(a, b *Database) []string {
-	var diffs []string
+	diffs := diffTuples(a, b, func(_ *Database, t relation.Tuple) string { return tupleKey(t) })
 	if len(a.st.Insts) != len(b.st.Insts) {
-		return []string{fmt.Sprintf("relation counts differ: %d vs %d", len(a.st.Insts), len(b.st.Insts))}
-	}
-	render := func(db *Database, t relation.Tuple) string {
-		parts := make([]string, len(t))
-		for i, v := range t {
-			parts[i] = db.st.Dict.Name(v) // nil-safe: falls back to numerals
-		}
-		return "(" + strings.Join(parts, ",") + ")"
-	}
-	for i := range a.st.Insts {
-		name := a.schema.s.Name(i)
-		am := make(map[string]relation.Tuple, a.st.Insts[i].Len())
-		for _, t := range a.st.Insts[i].Rows() {
-			am[tupleKey(t)] = t
-		}
-		bm := make(map[string]relation.Tuple, b.st.Insts[i].Len())
-		for _, t := range b.st.Insts[i].Rows() {
-			bm[tupleKey(t)] = t
-		}
-		for k, t := range am {
-			if _, ok := bm[k]; !ok {
-				diffs = append(diffs, fmt.Sprintf("%s: %s only in first", name, render(a, t)))
-			}
-		}
-		for k, t := range bm {
-			if _, ok := am[k]; !ok {
-				diffs = append(diffs, fmt.Sprintf("%s: %s only in second", name, render(b, t)))
-			}
-		}
+		return diffs
 	}
 	// Bindings must agree wherever both sides define a value; a value bound
 	// on one side only is fine (interns race ahead of the tuples that use
