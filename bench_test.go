@@ -1,6 +1,6 @@
 package indep
 
-// One benchmark per experiment in DESIGN.md's index. The paper has no
+// One benchmark per experiment in EXPERIMENTS.md's index. The paper has no
 // numeric tables (it is a theory paper); these benchmarks regenerate the
 // executable artifacts: the worked examples, the decision procedure's
 // polynomial scaling, the maintenance fast path vs the chase, the

@@ -120,34 +120,53 @@ func (e *BinBatchEncoder) Reset() {
 }
 
 // binBinding is one client id's binding within a binary batch: the name
-// bytes (a view into the payload, for the rebind check) and the value the
-// caller's intern function resolved them to.
+// bytes (a view into the payload, for the rebind check), whether an insert
+// references it, and the value it resolved to.
 type binBinding struct {
-	name []byte
-	v    relation.Value
+	name     []byte
+	insert   bool // some insert references the id: intern the name
+	resolved bool // v is bound; false after a lookup miss
+	v        relation.Value
 }
 
-// binIDPool recycles binBatchOps' client-id table, so a steady stream of
-// batches reuses one set of map buckets instead of growing a map per batch.
-var binIDPool = sync.Pool{New: func() any { return make(map[relation.Value]binBinding) }}
+// binScratch is binBatchOps' per-call working set, pooled so a steady
+// stream of batches reuses one map and two slices instead of growing them
+// per batch: ids maps a client id to its index in binds, and recs holds the
+// decoded tuple records between validation and resolution.
+type binScratch struct {
+	ids   map[relation.Value]int
+	binds []binBinding
+	recs  []wal.Record
+}
 
-// binBatchOps walks the frames of a binary batch payload, validating frame
-// checksums, intern bindings (no conflicting rebinds), relation indices,
-// arities, and value-id boundness. It calls intern once per distinct
-// binding, with the name as a view into payload that is valid only during
-// the call, and op once per tuple operation in frame order (inserts from
-// KindInsert and KindBatch frames, deletes from KindDelete frames). Each
-// tuple is freshly decoded and already resolved — every client id replaced
-// by what intern returned for its name — so op may keep it. Any error is a
-// malformed payload, reported before op has been called for the offending
-// frame.
+var binScratchPool = sync.Pool{New: func() any {
+	return &binScratch{ids: make(map[relation.Value]int)}
+}}
+
+// binBatchOps walks the frames of a binary batch payload in two passes. The
+// first validates the whole payload — frame checksums, intern bindings (no
+// conflicting rebinds), relation indices, arities, and value-id boundness —
+// and resolves nothing, so a malformed payload is reported with no side
+// effect. The second resolves each bound name once, with the name as a view
+// into payload that is valid only during the call: intern for a name some
+// insert uses, lookup for any other. Then op is called once per tuple
+// operation in frame order (inserts from KindInsert and KindBatch frames,
+// deletes from KindDelete frames), with the tuple freshly decoded and
+// resolved — every client id replaced by its value — so op may keep it. A
+// delete that names a value lookup missed cannot match any stored tuple; op
+// receives it with a nil tuple.
 func binBatchOps(s *schema.Schema, payload []byte,
 	intern func(name []byte) relation.Value,
+	lookup func(name []byte) (relation.Value, bool),
 	op func(kind wal.Kind, rel int, tuple relation.Tuple) error) error {
-	ids := binIDPool.Get().(map[relation.Value]binBinding)
+	sc := binScratchPool.Get().(*binScratch)
 	defer func() {
-		clear(ids)
-		binIDPool.Put(ids)
+		clear(sc.ids)
+		clear(sc.binds) // drop the views into payload
+		sc.binds = sc.binds[:0]
+		clear(sc.recs)
+		sc.recs = sc.recs[:0]
+		binScratchPool.Put(sc)
 	}()
 	for buf := payload; len(buf) > 0; {
 		pl, n, err := wal.NextStreamFrame(buf)
@@ -160,14 +179,15 @@ func binBatchOps(s *schema.Schema, payload []byte,
 			if err != nil {
 				return fmt.Errorf("indep: binary batch: %w", err)
 			}
-			if prev, dup := ids[id]; dup {
-				if !bytes.Equal(prev.name, name) {
+			if prev, dup := sc.ids[id]; dup {
+				if !bytes.Equal(sc.binds[prev].name, name) {
 					return fmt.Errorf("indep: binary batch rebinds id %d (%q, then %q)",
-						int64(id), prev.name, name)
+						int64(id), sc.binds[prev].name, name)
 				}
 				continue
 			}
-			ids[id] = binBinding{name: name, v: intern(name)}
+			sc.ids[id] = len(sc.binds)
+			sc.binds = append(sc.binds, binBinding{name: name})
 			continue
 		}
 		rec, err := wal.DecodeRecord(pl)
@@ -176,28 +196,54 @@ func binBatchOps(s *schema.Schema, payload []byte,
 		}
 		switch rec.Kind {
 		case wal.KindInsert, wal.KindBatch, wal.KindDelete:
-			for _, o := range rec.Ops {
-				if o.Rel < 0 || o.Rel >= s.Size() {
-					return fmt.Errorf("indep: binary batch addresses relation %d (schema has %d)",
-						o.Rel, s.Size())
-				}
-				if want := s.Attrs(o.Rel).Len(); len(o.Tuple) != want {
-					return fmt.Errorf("indep: binary batch: %s tuple has %d values, want %d",
-						s.Name(o.Rel), len(o.Tuple), want)
-				}
-				for j, id := range o.Tuple {
-					b, ok := ids[id]
-					if !ok {
-						return fmt.Errorf("indep: binary batch references unbound value id %d", int64(id))
-					}
-					o.Tuple[j] = b.v
-				}
-				if err := op(rec.Kind, o.Rel, o.Tuple); err != nil {
-					return err
-				}
-			}
 		default:
 			return fmt.Errorf("indep: binary batch: unsupported record kind %d", rec.Kind)
+		}
+		for _, o := range rec.Ops {
+			if o.Rel < 0 || o.Rel >= s.Size() {
+				return fmt.Errorf("indep: binary batch addresses relation %d (schema has %d)",
+					o.Rel, s.Size())
+			}
+			if want := s.Attrs(o.Rel).Len(); len(o.Tuple) != want {
+				return fmt.Errorf("indep: binary batch: %s tuple has %d values, want %d",
+					s.Name(o.Rel), len(o.Tuple), want)
+			}
+			for j, id := range o.Tuple {
+				bi, ok := sc.ids[id]
+				if !ok {
+					return fmt.Errorf("indep: binary batch references unbound value id %d", int64(id))
+				}
+				if rec.Kind != wal.KindDelete {
+					sc.binds[bi].insert = true
+				}
+				o.Tuple[j] = relation.Value(bi) // resolved below
+			}
+		}
+		sc.recs = append(sc.recs, rec)
+	}
+
+	for i := range sc.binds {
+		b := &sc.binds[i]
+		if b.insert {
+			b.v, b.resolved = intern(b.name), true
+		} else {
+			b.v, b.resolved = lookup(b.name)
+		}
+	}
+	for _, rec := range sc.recs {
+		for _, o := range rec.Ops {
+			t := o.Tuple
+			for j, bi := range t {
+				b := &sc.binds[bi]
+				if !b.resolved { // only a delete's lookup can miss
+					t = nil
+					break
+				}
+				t[j] = b.v
+			}
+			if err := op(rec.Kind, o.Rel, t); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -209,12 +255,13 @@ func binBatchOps(s *schema.Schema, payload []byte,
 // and then any deletes are applied in frame order (a delete never fails; an
 // absent tuple is a no-op). The return value is the number of operations
 // applied. The decode path shares the WAL's frame and record parsers and
-// never touches encoding/json. Client-local value ids are remapped by
-// re-interning their bound names straight from the payload bytes (a name
-// the store already knows costs no allocation); a tuple referencing an
-// unbound id, an unknown relation, or a wrong arity is malformed (not a
-// rejection), and a malformed payload is detected before anything is
-// applied.
+// never touches encoding/json. A tuple referencing an unbound id, an
+// unknown relation, or a wrong arity is malformed (not a rejection), and a
+// malformed payload is detected before anything is applied or interned.
+// Client-local value ids are then remapped straight from the payload bytes
+// (a name the store already knows costs no allocation): names that inserts
+// use are interned, names only deletes use are looked up, so a delete of
+// unseen values is an applied no-op that leaves the dictionary alone.
 func (cs *ConcurrentStore) ApplyBinBatch(ctx context.Context, payload []byte) (int, error) {
 	ctx, sp := obs.StartSpan(ctx, "store.batchbin")
 	if sp.Recording() {
@@ -222,7 +269,8 @@ func (cs *ConcurrentStore) ApplyBinBatch(ctx context.Context, payload []byte) (i
 	}
 	defer sp.End()
 	var eops, dels []engine.Op
-	err := binBatchOps(cs.schema.s, payload, cs.eng.Dict().ValueBytes,
+	dict := cs.eng.Dict()
+	err := binBatchOps(cs.schema.s, payload, dict.ValueBytes, dict.LookupBytes,
 		func(kind wal.Kind, rel int, t relation.Tuple) error {
 			if kind == wal.KindDelete {
 				dels = append(dels, engine.Op{Scheme: rel, Tuple: t})
@@ -240,6 +288,9 @@ func (cs *ConcurrentStore) ApplyBinBatch(ctx context.Context, payload []byte) (i
 		}
 	}
 	for _, d := range dels {
+		if d.Tuple == nil { // names a value the store never saw: nothing to delete
+			continue
+		}
 		if _, err := cs.eng.DeleteCtx(ctx, d.Scheme, d.Tuple); err != nil {
 			return len(eops), err
 		}
@@ -265,11 +316,12 @@ type BinOp struct {
 func (s *Schema) DecodeBinBatch(payload []byte) ([]BinOp, error) {
 	var names []string // indexed by the values binBatchOps resolves ids to
 	var ops []BinOp
-	err := binBatchOps(s.s, payload,
-		func(name []byte) relation.Value {
-			names = append(names, string(name))
-			return relation.Value(len(names) - 1)
-		},
+	bind := func(name []byte) relation.Value {
+		names = append(names, string(name))
+		return relation.Value(len(names) - 1)
+	}
+	err := binBatchOps(s.s, payload, bind,
+		func(name []byte) (relation.Value, bool) { return bind(name), true },
 		func(kind wal.Kind, rel int, tuple relation.Tuple) error {
 			attrs := s.s.Attrs(rel).Attrs()
 			row := make(map[string]string, len(attrs))
@@ -327,7 +379,8 @@ func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []b
 		t   relation.Tuple
 	}
 	var ops []resolved
-	err := binBatchOps(cs.schema.s, payload, cs.eng.Dict().ValueBytes,
+	dict := cs.eng.Dict()
+	err := binBatchOps(cs.schema.s, payload, dict.ValueBytes, dict.LookupBytes,
 		func(kind wal.Kind, rel int, t relation.Tuple) error {
 			ops = append(ops, resolved{del: kind == wal.KindDelete, rel: rel, t: t})
 			return nil
@@ -339,8 +392,10 @@ func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []b
 	for i, o := range ops {
 		rep.Processed++
 		if o.del {
-			if _, err := cs.eng.DeleteCtx(ctx, o.rel, o.t); err != nil {
-				return rep, err
+			if o.t != nil { // nil: names a value the store never saw
+				if _, err := cs.eng.DeleteCtx(ctx, o.rel, o.t); err != nil {
+					return rep, err
+				}
 			}
 			rep.Applied++
 			continue

@@ -353,24 +353,75 @@ func TestApplyBinBatchPartialReport(t *testing.T) {
 	}
 }
 
-// TestApplyBinBatchPartialMalformed pins decode-before-apply: a payload
-// that fails validation applies nothing, even if a prefix was well-formed.
+// TestApplyBinBatchPartialMalformed pins validate-before-apply on both
+// apply paths: a payload that fails validation applies nothing and interns
+// nothing, even though a prefix (its intern frames and a whole batch frame)
+// was well-formed.
 func TestApplyBinBatchPartialMalformed(t *testing.T) {
 	sch := binTestSchema(t)
 	enc := NewBinBatchEncoder(sch)
 	if err := enc.Add("CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
 		t.Fatal(err)
 	}
-	payload := enc.Bytes()
+	payload := append(enc.Bytes(), "trailing junk"...)
 	cs, err := sch.OpenConcurrentStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.ApplyBinBatchPartial(context.Background(), append(payload, "trailing junk"...)); err == nil {
+	ctx := context.Background()
+	if _, err := cs.ApplyBinBatchPartial(ctx, payload); err == nil {
 		t.Fatal("partial apply accepted a malformed payload")
+	}
+	if _, err := cs.ApplyBinBatch(ctx, payload); err == nil || Rejected(err) {
+		t.Fatalf("atomic apply of a malformed payload: got %v, want a malformed error", err)
 	}
 	if cs.Rows() != 0 {
 		t.Fatalf("malformed payload applied %d rows", cs.Rows())
+	}
+	if n := cs.eng.Dict().Len(); n != 0 {
+		t.Fatalf("malformed payload interned %d names", n)
+	}
+}
+
+// TestApplyBinBatchDeleteMiss pins that a binary delete naming a value the
+// store has never seen is an applied no-op on both apply paths and does not
+// grow the dictionary — ConcurrentStore.Delete's contract, kept on the wire
+// path a cluster router lowers every JSON delete to.
+func TestApplyBinBatchDeleteMiss(t *testing.T) {
+	sch := binTestSchema(t)
+	cs, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Insert("CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
+		t.Fatal(err)
+	}
+	enc := NewBinBatchEncoder(sch)
+	for _, d := range []struct {
+		rel string
+		row map[string]string
+	}{
+		{"CT", map[string]string{"C": "c1", "T": "t9"}}, // c1 known, t9 unseen
+		{"CS", map[string]string{"C": "c8", "S": "s8"}}, // both unseen
+	} {
+		if err := enc.Delete(d.rel, d.row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := enc.Bytes()
+	ctx := context.Background()
+	if n, err := cs.ApplyBinBatch(ctx, payload); err != nil || n != 2 {
+		t.Fatalf("atomic apply: n=%d err=%v, want 2 applied no-ops", n, err)
+	}
+	rep, err := cs.ApplyBinBatchPartial(ctx, payload)
+	if err != nil || rep.Ops != 2 || rep.Processed != 2 || rep.Applied != 2 || len(rep.Rejected) != 0 {
+		t.Fatalf("partial apply: report %+v err=%v, want 2/2/2", rep, err)
+	}
+	if cs.Rows() != 1 {
+		t.Fatalf("store holds %d rows, want 1", cs.Rows())
+	}
+	if n := cs.eng.Dict().Len(); n != 2 {
+		t.Fatalf("delete misses grew the dictionary to %d names, want 2", n)
 	}
 }
 

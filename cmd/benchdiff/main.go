@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go test -bench 'GuardInsert$' -benchmem . > bench.txt
-//	go run ./cmd/indepbench -engine -json > engine.json
+//	go run ./cmd/indepbench -engine -shape star -n 200000 -batch 64 -workers 4 -json > engine.json
 //	go run ./cmd/benchdiff -floors BENCH_10.json -bench bench.txt -engine engine.json
 //
 // Two floors are enforced (the two numbers every perf PR has fought for):

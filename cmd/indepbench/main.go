@@ -1,84 +1,39 @@
 // Command indepbench regenerates the experiments recorded in
 // EXPERIMENTS.md — the paper's worked examples, the theorem validations
 // against the chase oracle, and the complexity measurements — and, with
-// -engine, load-tests the concurrent store over generated workload shapes.
+// -engine, times in-process ingest into the concurrent store.
 //
 // Usage:
 //
-//	indepbench                 # run every recorded experiment
+//	indepbench                 # run every experiment
 //	indepbench -exp E1,T3      # run selected experiments
 //	indepbench -seed 7 -scale 50
 //
-//	indepbench -engine -shape star -n 200000 -batch 64 -workers 8
-//	indepbench -engine -durable -dir /tmp/indepbench -batch 64
-//	indepbench -engine -durable -nofsync        # WAL write cost without fsync
-//
-//	indepbench -query -readers 8 -workers 2 -duration 3s
-//	indepbench -cluster -replicas 2 -nofsync -duration 3s
-//	indepbench -shards 4 -n 200000 -json      # sharded write scaling
-//	indepbench -engine -json        # machine-readable result with allocs/op
-//
-//	indepbench -printschema > bench.txt     # declaration file for indepd -file
-//	indepbench -engine -url http://localhost:8080 -wire bin   # drive a daemon
-//	indepbench -engine -url http://localhost:8080 -wire json  # over either wire
+//	indepbench -engine -shape star -n 200000 -batch 64 -workers 4 -json
 //
 // The -engine mode drives inserts through the public ConcurrentStore —
 // the same per-relation lock stripes indepd serves from — and reports
-// tuples/s plus per-relation latency percentiles. With -durable the store
-// runs on the write-ahead log, so the group-commit overhead (and its
-// amortization across concurrent writers: see the records-per-fsync
-// figure) shows up directly in the numbers.
+// tuples/s plus per-relation latency percentiles. With -json it emits one
+// JSON object instead of text, including -benchmem-style allocs/op and
+// B/op (whole-process MemStats deltas divided by tuples); CI's benchdiff
+// gate compares its writeTuplesPerSec against the committed BENCH_*.json
+// floor.
 //
-// The -query mode runs a mixed read/write load: -workers writers keep
-// inserting batches while -readers goroutines issue window queries against
-// lock-free snapshots. It reports write tuples/s, read queries/s, and read
-// latency percentiles — run it at different -readers (or GOMAXPROCS) to
-// see reads scale with cores against a concurrent writer. After the mixed
-// phase it runs a read-only and a write-only isolation phase, each with
-// its own MemStats probe, so the JSON report carries per-path allocs/op
-// (writePhaseAllocsPerOp / readPhaseAllocsPerOp) alongside the blended
-// figure.
-//
-// With -url, -engine mode drives a running indepd over HTTP instead of an
-// in-process store — atomic batches over the binary /v1/batchbin protocol
-// (-wire bin) or the JSON /v1/batch endpoint (-wire json). The daemon must
-// serve the schema the generator builds; -printschema emits it in the
-// declaration-file format indepd -file reads.
-//
-// The -cluster mode measures follower-read scaling: writers insert on a
-// durable primary while -replicas in-process WAL-streaming followers tail
-// it, and readers round-robin window queries across every serving node
-// (the primary alone at -replicas 0). After the load it waits for each
-// follower to catch up, checks bit-for-bit convergence against the
-// primary, and reports per-follower stream counters — run it at 0, 1, 2
-// replicas to see read throughput scale with the cluster.
-//
-// The -shards mode routes binary batches through a real cluster.Router
-// over N in-process shard stores — the sharded serving tier's write path,
-// minus only the network. Run it at -shards 1 and -shards 4 on the same
-// flags to measure the write scaling the placement rule buys; BENCH_*.json
-// records the pair.
-//
-// With -json either load emits a single JSON object instead of text,
-// including -benchmem-style allocs/op and B/op (whole-process MemStats
-// deltas divided by operations), so CI and the BENCH_*.json records can
-// compare runs mechanically.
+// Served topologies (a daemon over either wire, a durable node with window
+// reads, a sharded router) are measured by the repo benchmark in
+// perfbench/, which drives indepd over HTTP and checks every answer.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"indep"
@@ -96,74 +51,54 @@ func main() {
 	scale := flag.Int("scale", 0, "work scale (0 = default)")
 
 	engine := flag.Bool("engine", false, "load-test the concurrent store instead of running experiments")
-	queryMode := flag.Bool("query", false, "mixed read/write load: writers insert while readers run window queries")
-	cluster := flag.Bool("cluster", false, "replication load: writers hit a durable primary, readers round-robin over primary plus -replicas followers")
-	replicas := flag.Int("replicas", 2, "in-process WAL-streaming followers to open (-cluster)")
-	shards := flag.Int("shards", 0, "route writes through a cluster.Router over N in-process shard stores (sharded write scaling)")
 	shape := flag.String("shape", "star", "workload shape: star, chain, random")
 	attrs := flag.Int("attrs", 25, "universe size of the generated schema")
 	schemes := flag.Int("schemes", 5, "relation schemes (star/random)")
 	n := flag.Int("n", 100000, "tuples to insert")
 	batch := flag.Int("batch", 64, "tuples per InsertBatch (1 = single inserts)")
 	workers := flag.Int("workers", 8, "concurrent writers")
-	readers := flag.Int("readers", runtime.GOMAXPROCS(0), "concurrent window-query readers (-query)")
-	duration := flag.Duration("duration", 3*time.Second, "how long to run the mixed load (-query)")
-	durable := flag.Bool("durable", false, "run on a write-ahead-logged DurableStore")
-	dir := flag.String("dir", "", "data directory for -durable (default: a temp dir, removed after)")
-	noFsync := flag.Bool("nofsync", false, "durable mode without fsync")
 	jsonOut := flag.Bool("json", false, "emit one JSON result object (with -benchmem-style ns/op, B/op, allocs/op) instead of text")
-	remoteURL := flag.String("url", "", "engine mode: drive a running indepd at this base URL instead of an in-process store")
-	wire := flag.String("wire", "bin", "remote engine mode: wire encoding, 'bin' (POST /v1/batchbin) or 'json' (POST /v1/batch)")
-	printSchema := flag.Bool("printschema", false, "print the generated workload schema as a declaration file (start indepd with it for -url runs) and exit")
 	flag.Parse()
 
-	if *engine || *queryMode || *cluster || *printSchema || *shards > 0 {
-		cfg := engineConfig{
+	var err error
+	if *engine {
+		err = runEngine(engineConfig{
 			shape: *shape, attrs: *attrs, schemes: *schemes, seed: *seed,
 			n: *n, batch: *batch, workers: *workers,
-			readers: *readers, duration: *duration,
-			durable: *durable, dir: *dir, noFsync: *noFsync,
-			replicas: *replicas,
-			shards:   *shards,
-			jsonOut:  *jsonOut,
-			url:      *remoteURL, wire: *wire,
-		}
-		run := runEngine
-		switch {
-		case *printSchema:
-			run = runPrintSchema
-		case *shards > 0:
-			run = runShards
-		case *cluster:
-			run = runCluster
-		case *queryMode:
-			run = runQuery
-		case *remoteURL != "":
-			run = runRemote
-		}
-		if err := run(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "indepbench:", err)
-			os.Exit(2)
-		}
-		return
+			jsonOut: *jsonOut,
+		}, os.Stdout)
+	} else {
+		err = runExperiments(os.Stdout, *exp, experiments.Params{Seed: *seed, Scale: *scale})
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "indepbench:", err)
+		os.Exit(2)
+	}
+}
 
-	p := experiments.Params{Seed: *seed, Scale: *scale}
-	if *exp == "all" {
-		fmt.Print(experiments.RunAll(p))
-		return
+// runExperiments writes the reports of the comma-separated experiment ids
+// (or of every experiment, for "all") to w. An unknown id is an error,
+// reported before any experiment runs.
+func runExperiments(w io.Writer, ids string, p experiments.Params) error {
+	if ids == "all" {
+		_, err := io.WriteString(w, experiments.RunAll(p))
+		return err
 	}
-	for _, id := range strings.Split(*exp, ",") {
+	var runs []experiments.Runner
+	for _, id := range strings.Split(ids, ",") {
 		id = strings.TrimSpace(strings.ToUpper(id))
 		run, ok := experiments.Registry[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "indepbench: unknown experiment %q (known: %s)\n",
-				id, strings.Join(experiments.Order, ","))
-			os.Exit(2)
+			return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(experiments.Order, ","))
 		}
-		fmt.Print(run(p))
-		fmt.Println()
+		runs = append(runs, run)
 	}
+	for _, run := range runs {
+		if _, err := fmt.Fprintln(w, run(p)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 type engineConfig struct {
@@ -172,15 +107,7 @@ type engineConfig struct {
 	seed           int64
 	n, batch       int
 	workers        int
-	readers        int
-	duration       time.Duration
-	durable        bool
-	dir            string
-	noFsync        bool
-	replicas       int
-	shards         int
 	jsonOut        bool
-	url, wire      string
 }
 
 // memProbe brackets a load with runtime.MemStats reads so the report can
@@ -211,87 +138,33 @@ func (p *memProbe) perOp(ops int64) (allocs, bytes float64) {
 // benchReport is the -json output: one object per run, stable field names,
 // so CI and BENCH_*.json records can diff runs mechanically.
 type benchReport struct {
-	Mode         string  `json:"mode"` // "engine" or "query"
+	Mode         string  `json:"mode"` // always "engine"
 	Shape        string  `json:"shape"`
 	Schemes      int     `json:"schemes"`
 	Attrs        int     `json:"attrs"`
 	FastPath     bool    `json:"fastPath"`
 	Store        string  `json:"store"`
 	Workers      int     `json:"workers"`
-	Shards       int     `json:"shards,omitempty"`
 	Batch        int     `json:"batch"`
 	WriteTuples  int64   `json:"writeTuples"`
 	WriteTPS     float64 `json:"writeTuplesPerSec"`
 	WriteNsPerOp float64 `json:"writeNsPerOp"`
-	// Shards mode reports two write rates. WriteTPS above is the
-	// cluster's aggregate write capacity: the sum of per-shard ingest
-	// rates, each measured with that shard timed alone — valid to sum
-	// because the routed phase proves no write touches two shards, so a
-	// real N-node cluster runs the N streams on disjoint hardware.
-	// RoutedTPS is the end-to-end rate through the router on THIS host,
-	// which in-process shards bound by HostCores no matter the shard
-	// count. See cmd/indepbench/shards.go.
-	RoutedTPS   float64     `json:"routedTuplesPerSec,omitempty"`
-	HostCores   int         `json:"hostCores,omitempty"`
-	PerShard    []shardRate `json:"perShard,omitempty"`
-	Readers     int         `json:"readers,omitempty"`
-	ReadQueries int64       `json:"readQueries,omitempty"`
-	ReadQPS     float64     `json:"readQueriesPerSec,omitempty"`
-	ReadP50Ns   int64       `json:"readP50Ns,omitempty"`
-	ReadP99Ns   int64       `json:"readP99Ns,omitempty"`
-	// MeasuredOps is the denominator of AllocsPerOp/BytesPerOp: write
-	// tuples in engine mode, write tuples + read queries in query mode
-	// (measured over the mixed phase). Compare per-op figures only between
-	// runs of the same mode.
+	// MeasuredOps is the denominator of AllocsPerOp/BytesPerOp: the
+	// tuples written.
 	MeasuredOps int64   `json:"measuredOps"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
 	BytesPerOp  float64 `json:"bytesPerOp"`
-	// Query mode brackets a write-only and a read-only phase with their own
-	// MemStats probes before the mixed load, so each path's allocation cost
-	// is isolated instead of averaged into one blended figure.
-	WritePhaseAllocsPerOp float64 `json:"writePhaseAllocsPerOp,omitempty"`
-	WritePhaseBytesPerOp  float64 `json:"writePhaseBytesPerOp,omitempty"`
-	ReadPhaseAllocsPerOp  float64 `json:"readPhaseAllocsPerOp,omitempty"`
-	ReadPhaseBytesPerOp   float64 `json:"readPhaseBytesPerOp,omitempty"`
-	ElapsedNs             int64   `json:"elapsedNs"`
-	// WriteBatchLat/ReadLat are log2-bucketed histogram quantiles (the
-	// same obs.Histogram the store's telemetry uses), per InsertBatch call
-	// and per window query respectively.
+	ElapsedNs   int64   `json:"elapsedNs"`
+	// WriteBatchLat holds log2-bucketed histogram quantiles (the same
+	// obs.Histogram the store's telemetry uses) per InsertBatch call.
 	WriteBatchLat *latQuantiles `json:"writeBatchLatencyNs,omitempty"`
-	ReadLat       *latQuantiles `json:"readLatencyNs,omitempty"`
-	// Span-overhead probe (engine mode): the same duplicate single-tuple
-	// insert timed untraced (nil span, the pay-nothing path) and traced
-	// (recorder root span per op, arena pooled, sampled out). The delta is
-	// what a flight-recorder-sampled request pays per store call.
+	// Span-overhead probe: the same duplicate single-tuple insert timed
+	// untraced (nil span, the pay-nothing path) and traced (recorder root
+	// span per op, arena pooled, sampled out). The delta is what a
+	// flight-recorder-sampled request pays per store call.
 	UntracedInsertNsPerOp float64 `json:"untracedInsertNsPerOp,omitempty"`
 	TracedInsertNsPerOp   float64 `json:"tracedInsertNsPerOp,omitempty"`
 	SpanOverheadNsPerOp   float64 `json:"spanOverheadNsPerOp,omitempty"`
-	// Cluster mode: followers opened, and each follower's stream counters
-	// at the end of the run (after catch-up and the convergence check).
-	Replicas    int              `json:"replicas,omitempty"`
-	Replication []followerReport `json:"replication,omitempty"`
-}
-
-// followerReport is one follower's stream summary for the -cluster JSON
-// output.
-type followerReport struct {
-	AppliedRecords uint64 `json:"appliedRecords"`
-	SkippedRecords uint64 `json:"skippedRecords"`
-	Resyncs        uint64 `json:"resyncs"`
-	Healthy        bool   `json:"healthy"`
-	// CatchUpNs is how long the follower took to cover the primary's final
-	// flushed position after writers stopped — drain lag, not clock skew.
-	CatchUpNs int64 `json:"catchUpNs"`
-}
-
-// shardRate is one shard's entry in the -shards capacity phase: the rows
-// the placement routed to it and the ingest rate measured with the shard
-// timed alone.
-type shardRate struct {
-	Shard     string  `json:"shard"`
-	Rows      int     `json:"rows"`
-	TPS       float64 `json:"tuplesPerSec"`
-	ElapsedNs int64   `json:"elapsedNs"`
 }
 
 // latQuantiles renders a latency histogram snapshot for the JSON report.
@@ -311,8 +184,8 @@ func latFromSnapshot(s obs.HistSnapshot) *latQuantiles {
 	return &latQuantiles{Count: s.Count, P50Ns: p50, P90Ns: p90, P99Ns: p99, P999Ns: p999}
 }
 
-func emitJSON(r benchReport) error {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(w io.Writer, r benchReport) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
@@ -323,17 +196,6 @@ func emitJSON(r benchReport) error {
 // renders it through the public parser — the same text format indepd
 // accepts.
 func buildWorkloadSchema(cfg engineConfig) (*indep.Schema, error) {
-	schemaSrc, fdSrc, err := workloadDecl(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return indep.Parse(schemaSrc, fdSrc)
-}
-
-// workloadDecl renders the generated workload schema as declaration text —
-// the same strings buildWorkloadSchema parses, and (via -printschema) the
-// declaration file a daemon needs to serve a -url run.
-func workloadDecl(cfg engineConfig) (schemaSrc, fdSrc string, err error) {
 	r := rand.New(rand.NewSource(cfg.seed))
 	var wcfg workload.Config
 	switch cfg.shape {
@@ -344,7 +206,7 @@ func workloadDecl(cfg engineConfig) (schemaSrc, fdSrc string, err error) {
 	case "random":
 		wcfg = workload.Config{Attrs: cfg.attrs, Schemes: cfg.schemes, SchemeMax: 5, Shape: workload.ShapeRandom}
 	default:
-		return "", "", fmt.Errorf("unknown shape %q (star, chain, random)", cfg.shape)
+		return nil, fmt.Errorf("unknown shape %q (star, chain, random)", cfg.shape)
 	}
 	s, _ := workload.Schema(r, wcfg)
 	var fds fd.List
@@ -359,19 +221,7 @@ func workloadDecl(cfg engineConfig) (schemaSrc, fdSrc string, err error) {
 		}
 		fds = append(fds, fd.FD{LHS: attrset.Of(cols[0]), RHS: rhs})
 	}
-	return renderSchema(s), renderFDs(s, fds), nil
-}
-
-// runPrintSchema emits the generated workload schema in the declaration-file
-// format indepd's -file flag reads, so a -url run can point at a daemon
-// serving exactly the schema the generator will drive.
-func runPrintSchema(cfg engineConfig) error {
-	schemaSrc, fdSrc, err := workloadDecl(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("schema: %s\nfds: %s\n", schemaSrc, fdSrc)
-	return nil
+	return indep.Parse(renderSchema(s), renderFDs(s, fds))
 }
 
 func renderSchema(s *schema.Schema) string {
@@ -403,37 +253,6 @@ func rowFor(sch *indep.Schema, rel string, seed int) (map[string]string, error) 
 		row[a] = fmt.Sprintf("%s_%d", a, seed)
 	}
 	return row, nil
-}
-
-// openBenchStore opens the store the flags ask for: in-memory, or durable
-// over -dir (default: a temp dir). The caller must invoke cleanup.
-func openBenchStore(sch *indep.Schema, cfg engineConfig) (store *indep.ConcurrentStore, ds *indep.DurableStore, mode string, cleanup func(), err error) {
-	cleanup = func() {}
-	if !cfg.durable {
-		store, err = sch.OpenConcurrentStore()
-		return store, nil, "in-memory", cleanup, err
-	}
-	dir := cfg.dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "indepbench-wal-")
-		if err != nil {
-			return nil, nil, "", cleanup, err
-		}
-		dir = tmp
-		cleanup = func() { os.RemoveAll(tmp) }
-	}
-	ds, err = sch.OpenDurableStore(dir, indep.DurableOptions{NoFsync: cfg.noFsync})
-	if err != nil {
-		cleanup()
-		return nil, nil, "", func() {}, err
-	}
-	rm := cleanup
-	cleanup = func() { ds.Close(); rm() }
-	mode = "durable sync=always"
-	if cfg.noFsync {
-		mode = "durable sync=never"
-	}
-	return ds.ConcurrentStore, ds, mode, cleanup, nil
 }
 
 // measureSpanOverhead times one duplicate single-tuple insert both untraced
@@ -476,19 +295,21 @@ func measureSpanOverhead(store *indep.ConcurrentStore, sch *indep.Schema, rels [
 	return untracedNs, tracedNs, nil
 }
 
-func runEngine(cfg engineConfig) error {
+// runEngine inserts cfg.n generated tuples into an in-memory
+// ConcurrentStore from cfg.workers writers and writes the report to out.
+func runEngine(cfg engineConfig, out io.Writer) error {
 	sch, err := buildWorkloadSchema(cfg)
 	if err != nil {
 		return err
 	}
-	store, ds, mode, cleanup, err := openBenchStore(sch, cfg)
+	store, err := sch.OpenConcurrentStore()
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	const mode = "in-memory"
 	rels := sch.Relations()
 	if !cfg.jsonOut {
-		fmt.Printf("engine load: shape=%s schemes=%d attrs=%d fast-path=%v mode=%s\n",
+		fmt.Fprintf(out, "engine load: shape=%s schemes=%d attrs=%d fast-path=%v mode=%s\n",
 			cfg.shape, len(rels), cfg.attrs, store.FastPath(), mode)
 	}
 
@@ -551,7 +372,7 @@ func runEngine(cfg engineConfig) error {
 		return err
 	}
 	if cfg.jsonOut {
-		return emitJSON(benchReport{
+		return emitJSON(out, benchReport{
 			Mode: "engine", Shape: cfg.shape, Schemes: len(rels), Attrs: cfg.attrs,
 			FastPath: store.FastPath(), Store: mode,
 			Workers: cfg.workers, Batch: cfg.batch,
@@ -568,613 +389,21 @@ func runEngine(cfg engineConfig) error {
 			SpanOverheadNsPerOp:   tracedNs - untracedNs,
 		})
 	}
-	fmt.Printf("inserted %d tuples in %v (%.0f tuples/s) batch=%d workers=%d rows=%d (%.1f allocs/op, %.0f B/op)\n",
+	fmt.Fprintf(out, "inserted %d tuples in %v (%.0f tuples/s) batch=%d workers=%d rows=%d (%.1f allocs/op, %.0f B/op)\n",
 		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(),
 		cfg.batch, cfg.workers, store.Rows(), allocsPerOp, bytesPerOp)
 	if bl := latFromSnapshot(writeLat.Snapshot()); bl != nil {
-		fmt.Printf("batch latency: p50=%v p90=%v p99=%v p999=%v (%d batches)\n",
+		fmt.Fprintf(out, "batch latency: p50=%v p90=%v p99=%v p999=%v (%d batches)\n",
 			time.Duration(bl.P50Ns), time.Duration(bl.P90Ns),
 			time.Duration(bl.P99Ns), time.Duration(bl.P999Ns), bl.Count)
 	}
-	fmt.Printf("span overhead: untraced insert %.0f ns/op, traced %.0f ns/op (+%.0f ns)\n",
+	fmt.Fprintf(out, "span overhead: untraced insert %.0f ns/op, traced %.0f ns/op (+%.0f ns)\n",
 		untracedNs, tracedNs, tracedNs-untracedNs)
 
-	fmt.Printf("%-10s %10s %10s %10s %12s %12s\n", "relation", "tuples", "inserts", "rejects", "p50", "p99")
+	fmt.Fprintf(out, "%-10s %10s %10s %10s %12s %12s\n", "relation", "tuples", "inserts", "rejects", "p50", "p99")
 	for _, st := range store.Stats() {
-		fmt.Printf("%-10s %10d %10d %10d %12v %12v\n",
+		fmt.Fprintf(out, "%-10s %10d %10d %10d %12v %12v\n",
 			st.Relation, st.Tuples, st.Inserts, st.Rejects, st.P50, st.P99)
 	}
-
-	if ds != nil {
-		printWALStats(ds)
-		ckStart := time.Now()
-		if err := ds.Checkpoint(); err != nil {
-			return err
-		}
-		ws := ds.WAL()
-		fmt.Printf("checkpoint: wrote snapshot in %v; log now %d bytes over %d segments\n",
-			time.Since(ckStart).Round(time.Millisecond), ws.TotalBytes, ws.Segments)
-	}
 	return nil
-}
-
-// runRemote drives a running indepd over HTTP instead of an in-process
-// store: each writer posts atomic batches over the binary wire protocol
-// (-wire bin, POST /v1/batchbin — a BinBatchEncoder payload, no JSON
-// anywhere on the path) or the JSON /v1/batch endpoint. The daemon must
-// serve the schema this run generates; start it with the declaration
-// -printschema emits on the same shape/seed flags. Latency is
-// client-observed (encode + HTTP + server apply), and allocs/op are the
-// client's — running both wires on identical flags isolates the protocol's
-// end-to-end cost.
-func runRemote(cfg engineConfig) error {
-	sch, err := buildWorkloadSchema(cfg)
-	if err != nil {
-		return err
-	}
-	if cfg.wire != "bin" && cfg.wire != "json" {
-		return fmt.Errorf("bad -wire %q (want bin or json)", cfg.wire)
-	}
-	rels := sch.Relations()
-	if cfg.batch < 1 {
-		cfg.batch = 1
-	}
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
-	if !cfg.jsonOut {
-		fmt.Printf("remote load: url=%s wire=%s shape=%s schemes=%d attrs=%d n=%d batch=%d workers=%d\n",
-			cfg.url, cfg.wire, cfg.shape, len(rels), cfg.attrs, cfg.n, cfg.batch, cfg.workers)
-	}
-
-	client := &http.Client{Timeout: 30 * time.Second}
-	postBatch := func(enc *indep.BinBatchEncoder, ops []indep.BatchOp) error {
-		var body []byte
-		u, ctype := cfg.url+"/v1/batchbin", indep.BinContentType
-		if cfg.wire == "bin" {
-			enc.Reset()
-			for _, op := range ops {
-				if err := enc.Add(op.Rel, op.Row); err != nil {
-					return err
-				}
-			}
-			body = enc.Bytes()
-		} else {
-			type tupleReq struct {
-				Relation string            `json:"relation"`
-				Row      map[string]string `json:"row"`
-			}
-			jops := make([]tupleReq, len(ops))
-			for i, op := range ops {
-				jops[i] = tupleReq{Relation: op.Rel, Row: op.Row}
-			}
-			var err error
-			if body, err = json.Marshal(map[string]any{"ops": jops}); err != nil {
-				return err
-			}
-			u, ctype = cfg.url+"/v1/batch", "application/json"
-		}
-		resp, err := client.Post(u, ctype, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST %s: %s: %s", u, resp.Status, strings.TrimSpace(string(msg)))
-		}
-		return nil
-	}
-
-	// The same disjoint seed striping as the in-process engine run, so the
-	// two are directly comparable.
-	starts := make([]int, cfg.workers+1)
-	for w := 0; w < cfg.workers; w++ {
-		count := cfg.n / cfg.workers
-		if w < cfg.n%cfg.workers {
-			count++
-		}
-		starts[w+1] = starts[w] + count
-	}
-	errs := make(chan error, cfg.workers)
-	var writeLat obs.Histogram
-	probe := startMemProbe()
-	start := time.Now()
-	for w := 0; w < cfg.workers; w++ {
-		go func(w int) {
-			enc := indep.NewBinBatchEncoder(sch)
-			base, per := starts[w], starts[w+1]-starts[w]
-			for i := 0; i < per; i += cfg.batch {
-				k := min(cfg.batch, per-i)
-				ops := make([]indep.BatchOp, k)
-				for j := range ops {
-					seed := base + i + j
-					rel := rels[seed%len(rels)]
-					row, err := rowFor(sch, rel, seed)
-					if err != nil {
-						errs <- err
-						return
-					}
-					ops[j] = indep.BatchOp{Rel: rel, Row: row}
-				}
-				bs := time.Now()
-				if err := postBatch(enc, ops); err != nil {
-					errs <- err
-					return
-				}
-				writeLat.ObserveSince(bs)
-			}
-			errs <- nil
-		}(w)
-	}
-	for w := 0; w < cfg.workers; w++ {
-		if err := <-errs; err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-	total := starts[cfg.workers]
-	allocsPerOp, bytesPerOp := probe.perOp(int64(total))
-	fastPath := false
-	if a, err := sch.Analyze(); err == nil {
-		fastPath = a.Independent
-	}
-	if cfg.jsonOut {
-		return emitJSON(benchReport{
-			Mode: "engine", Shape: cfg.shape, Schemes: len(rels), Attrs: cfg.attrs,
-			FastPath: fastPath, Store: "remote " + cfg.wire,
-			Workers: cfg.workers, Batch: cfg.batch,
-			WriteTuples: int64(total),
-			WriteTPS:    float64(total) / elapsed.Seconds(),
-			WriteNsPerOp: float64(elapsed.Nanoseconds()) /
-				float64(max(total, 1)),
-			MeasuredOps: int64(total),
-			AllocsPerOp: allocsPerOp, BytesPerOp: bytesPerOp,
-			ElapsedNs:     elapsed.Nanoseconds(),
-			WriteBatchLat: latFromSnapshot(writeLat.Snapshot()),
-		})
-	}
-	fmt.Printf("posted %d tuples in %v (%.0f tuples/s) batch=%d workers=%d (%.1f client allocs/op, %.0f client B/op)\n",
-		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(),
-		cfg.batch, cfg.workers, allocsPerOp, bytesPerOp)
-	if bl := latFromSnapshot(writeLat.Snapshot()); bl != nil {
-		fmt.Printf("batch latency: p50=%v p90=%v p99=%v p999=%v (%d batches)\n",
-			time.Duration(bl.P50Ns), time.Duration(bl.P90Ns),
-			time.Duration(bl.P99Ns), time.Duration(bl.P999Ns), bl.Count)
-	}
-	return nil
-}
-
-// windowPool builds the attribute sets the readers cycle through: every
-// relation's own attributes (local-projection windows) and, for adjacent
-// scheme pairs, their union (cross-relation windows that exercise the
-// extension joins — or the chase, when the schema is not independent).
-func windowPool(sch *indep.Schema) ([][]string, error) {
-	rels := sch.Relations()
-	var pool [][]string
-	for _, rel := range rels {
-		attrs, err := sch.RelationAttrs(rel)
-		if err != nil {
-			return nil, err
-		}
-		pool = append(pool, attrs)
-	}
-	for i := 0; i+1 < len(rels); i++ {
-		a, err := sch.RelationAttrs(rels[i])
-		if err != nil {
-			return nil, err
-		}
-		b, err := sch.RelationAttrs(rels[i+1])
-		if err != nil {
-			return nil, err
-		}
-		seen := make(map[string]bool, len(a)+len(b))
-		var union []string
-		for _, x := range append(append([]string{}, a...), b...) {
-			if !seen[x] {
-				seen[x] = true
-				union = append(union, x)
-			}
-		}
-		pool = append(pool, union)
-	}
-	return pool, nil
-}
-
-// runQuery drives the mixed read/write load: writers insert batches while
-// readers issue window queries against lock-free snapshots, for the
-// configured duration.
-func runQuery(cfg engineConfig) error {
-	sch, err := buildWorkloadSchema(cfg)
-	if err != nil {
-		return err
-	}
-	store, ds, mode, cleanup, err := openBenchStore(sch, cfg)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	rels := sch.Relations()
-	pool, err := windowPool(sch)
-	if err != nil {
-		return err
-	}
-	if cfg.batch < 1 {
-		cfg.batch = 1
-	}
-	if cfg.workers < 0 {
-		cfg.workers = 0
-	}
-	if cfg.readers < 1 {
-		cfg.readers = 1
-	}
-	if !cfg.jsonOut {
-		fmt.Printf("query load: shape=%s schemes=%d attrs=%d fast-path=%v mode=%s writers=%d readers=%d batch=%d duration=%v gomaxprocs=%d\n",
-			cfg.shape, len(rels), cfg.attrs, store.FastPath(), mode,
-			cfg.workers, cfg.readers, cfg.batch, cfg.duration, runtime.GOMAXPROCS(0))
-	}
-
-	// Seeds come from one shared counter so rows stay distinct across phases
-	// and workers; every value is a pure function of its seed, so the write
-	// set is identical to the per-worker striping this replaces.
-	var seedCtr atomic.Int64
-	// runPhase drives nWriters writers and nReaders readers for d. Read
-	// latency goes through the same log2-bucketed histogram the store's
-	// telemetry uses (when rLat is non-nil), so the report's quantiles are
-	// directly comparable with a /metrics scrape of a production daemon.
-	runPhase := func(d time.Duration, nWriters, nReaders int, rLat *obs.Histogram) (wroteN, readN int64, elapsed time.Duration, err error) {
-		var stop atomic.Bool
-		var wrote, reads atomic.Int64
-		errc := make(chan error, nWriters+nReaders)
-		// fail stops the whole phase immediately: without it a t=0 error
-		// would leave every other goroutine burning the full budget for a
-		// run whose results are discarded.
-		fail := func(err error) {
-			stop.Store(true)
-			errc <- err
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < nWriters; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					base := int(seedCtr.Add(int64(cfg.batch))) - cfg.batch
-					ops := make([]indep.BatchOp, cfg.batch)
-					for j := range ops {
-						seed := base + j
-						rel := rels[seed%len(rels)]
-						row, err := rowFor(sch, rel, seed)
-						if err != nil {
-							fail(err)
-							return
-						}
-						ops[j] = indep.BatchOp{Rel: rel, Row: row}
-					}
-					if err := store.InsertBatch(ops); err != nil {
-						fail(err)
-						return
-					}
-					wrote.Add(int64(cfg.batch))
-				}
-			}()
-		}
-		for r := 0; r < nReaders; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				for k := 0; !stop.Load(); k++ {
-					attrs := pool[(k*nReaders+r)%len(pool)]
-					qs := time.Now()
-					if _, err := store.Window(attrs...); err != nil {
-						fail(err)
-						return
-					}
-					if rLat != nil {
-						rLat.ObserveSince(qs)
-					}
-					reads.Add(1)
-				}
-			}(r)
-		}
-		start := time.Now()
-		time.Sleep(d)
-		stop.Store(true)
-		wg.Wait()
-		elapsed = time.Since(start)
-		close(errc)
-		for err := range errc {
-			if err != nil {
-				return 0, 0, 0, err
-			}
-		}
-		return wrote.Load(), reads.Load(), elapsed, nil
-	}
-
-	// The mixed phase runs first, on the fresh store, and provides the
-	// headline throughput and latency figures. Two isolation phases follow,
-	// each bracketing one path's allocation cost with its own MemStats
-	// probe — a blended allocs/op can hide a write-path regression behind
-	// cheap reads (or vice versa); the split can't.
-	var readLat obs.Histogram
-	probe := startMemProbe()
-	wroteN, reads, elapsed, err := runPhase(cfg.duration/2, cfg.workers, cfg.readers, &readLat)
-	if err != nil {
-		return err
-	}
-	allocsPerOp, bytesPerOp := probe.perOp(wroteN + reads)
-
-	// The read-only probe runs directly after the mixed phase, against the
-	// store the mixed numbers ended with — running writers first would grow
-	// the store several-fold and make the read figures describe a different
-	// database. A warmup pass evaluates every window once while the store is
-	// static, so the probe measures the steady-state read path (cached plan,
-	// reused snapshot) rather than each window's first evaluation.
-	quarter := cfg.duration / 4
-	var writeAllocs, writeBytes, readAllocs, readBytes float64
-	for _, attrs := range pool {
-		if _, err := store.Window(attrs...); err != nil {
-			return err
-		}
-	}
-	probe = startMemProbe()
-	_, r2, _, err := runPhase(quarter, 0, cfg.readers, nil)
-	if err != nil {
-		return err
-	}
-	readAllocs, readBytes = probe.perOp(r2)
-	if cfg.workers > 0 {
-		probe = startMemProbe()
-		w3, _, _, err := runPhase(quarter, cfg.workers, 0, nil)
-		if err != nil {
-			return err
-		}
-		writeAllocs, writeBytes = probe.perOp(w3)
-	}
-
-	rs := readLat.Snapshot()
-	p50, p90, p99, p999 := rs.Quantiles()
-	if cfg.jsonOut {
-		return emitJSON(benchReport{
-			Mode: "query", Shape: cfg.shape, Schemes: len(rels), Attrs: cfg.attrs,
-			FastPath: store.FastPath(), Store: mode,
-			Workers: cfg.workers, Batch: cfg.batch, Readers: cfg.readers,
-			WriteTuples: wroteN,
-			WriteTPS:    float64(wroteN) / elapsed.Seconds(),
-			ReadQueries: reads,
-			ReadQPS:     float64(reads) / elapsed.Seconds(),
-			ReadP50Ns:   p50,
-			ReadP99Ns:   p99,
-			MeasuredOps: wroteN + reads,
-			AllocsPerOp: allocsPerOp, BytesPerOp: bytesPerOp,
-			WritePhaseAllocsPerOp: writeAllocs, WritePhaseBytesPerOp: writeBytes,
-			ReadPhaseAllocsPerOp: readAllocs, ReadPhaseBytesPerOp: readBytes,
-			ElapsedNs: elapsed.Nanoseconds(),
-			ReadLat:   latFromSnapshot(rs),
-		})
-	}
-	fmt.Printf("writes: %d tuples in %v (%.0f tuples/s)\n",
-		wroteN, elapsed.Round(time.Millisecond),
-		float64(wroteN)/elapsed.Seconds())
-	fmt.Printf("reads:  %d window queries (%.0f queries/s) p50=%v p90=%v p99=%v p999=%v\n",
-		reads, float64(reads)/elapsed.Seconds(),
-		time.Duration(p50), time.Duration(p90), time.Duration(p99), time.Duration(p999))
-	fmt.Printf("allocs: write-only %.1f allocs/op %.0f B/op; read-only %.1f allocs/op %.0f B/op; mixed %.1f allocs/op %.0f B/op\n",
-		writeAllocs, writeBytes, readAllocs, readBytes, allocsPerOp, bytesPerOp)
-	qs := store.QueryStats()
-	fmt.Printf("query stats: queries=%d planHits=%d fastEvals=%d chaseEvals=%d snapshotReuses=%d snapshotCopies=%d\n",
-		qs.Queries, qs.PlanHits, qs.FastEvals, qs.ChaseEvals, qs.SnapshotReuses, qs.SnapshotCopies)
-	if ds != nil {
-		printWALStats(ds)
-	}
-	return nil
-}
-
-// runCluster drives the replication load: writers insert on a durable
-// primary while -replicas followers tail its WAL in-process, and readers
-// round-robin window queries across every serving node. The run ends with
-// a catch-up wait and a bit-for-bit convergence check against the primary,
-// so a throughput number is only ever reported for a correct cluster.
-func runCluster(cfg engineConfig) error {
-	sch, err := buildWorkloadSchema(cfg)
-	if err != nil {
-		return err
-	}
-	cfg.durable = true // a cluster streams a WAL; there is no in-memory primary
-	store, ds, mode, cleanup, err := openBenchStore(sch, cfg)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	rels := sch.Relations()
-	pool, err := windowPool(sch)
-	if err != nil {
-		return err
-	}
-	if cfg.batch < 1 {
-		cfg.batch = 1
-	}
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
-	if cfg.readers < 1 {
-		cfg.readers = 1
-	}
-	if cfg.replicas < 0 {
-		cfg.replicas = 0
-	}
-
-	// Followers stream from the primary's DurableStore directly — the same
-	// ReplSource the HTTP endpoints wrap, minus the network, so the numbers
-	// isolate replication cost from transport cost.
-	followers := make([]*indep.Follower, cfg.replicas)
-	for i := range followers {
-		fdir, err := os.MkdirTemp("", "indepbench-replica-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(fdir)
-		f, err := sch.OpenFollower(fdir, ds, indep.FollowerOptions{
-			NoFsync: cfg.noFsync, PollInterval: time.Millisecond})
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		followers[i] = f
-	}
-	// Readers query the followers when there are any, the primary otherwise:
-	// the 0-replica run is the single-node baseline the scaling compares to.
-	targets := make([]*indep.ConcurrentStore, 0, cfg.replicas+1)
-	if cfg.replicas == 0 {
-		targets = append(targets, store)
-	}
-	for _, f := range followers {
-		targets = append(targets, f.ConcurrentStore)
-	}
-
-	if !cfg.jsonOut {
-		fmt.Printf("cluster load: shape=%s schemes=%d attrs=%d mode=%s replicas=%d writers=%d readers=%d batch=%d duration=%v\n",
-			cfg.shape, len(rels), cfg.attrs, mode, cfg.replicas,
-			cfg.workers, cfg.readers, cfg.batch, cfg.duration)
-	}
-
-	probe := startMemProbe()
-	var stop atomic.Bool
-	var wrote atomic.Int64
-	errc := make(chan error, cfg.workers+cfg.readers)
-	fail := func(err error) {
-		stop.Store(true)
-		errc <- err
-	}
-	var wg sync.WaitGroup
-
-	for w := 0; w < cfg.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; !stop.Load(); k++ {
-				ops := make([]indep.BatchOp, cfg.batch)
-				for j := range ops {
-					seed := (k*cfg.batch+j)*cfg.workers + w
-					rel := rels[seed%len(rels)]
-					row, err := rowFor(sch, rel, seed)
-					if err != nil {
-						fail(err)
-						return
-					}
-					ops[j] = indep.BatchOp{Rel: rel, Row: row}
-				}
-				if err := store.InsertBatch(ops); err != nil {
-					fail(err)
-					return
-				}
-				wrote.Add(int64(cfg.batch))
-			}
-		}(w)
-	}
-
-	var readLat obs.Histogram
-	for r := 0; r < cfg.readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for k := 0; !stop.Load(); k++ {
-				node := targets[(k+r)%len(targets)]
-				attrs := pool[(k*cfg.readers+r)%len(pool)]
-				qs := time.Now()
-				if _, err := node.Window(attrs...); err != nil {
-					fail(err)
-					return
-				}
-				readLat.ObserveSince(qs)
-			}
-		}(r)
-	}
-
-	start := time.Now()
-	time.Sleep(cfg.duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errc)
-	for err := range errc {
-		if err != nil {
-			return err
-		}
-	}
-
-	// Catch-up: every follower must reach the primary's final flushed
-	// position, and its state must match the primary bit for bit.
-	flushed := ds.ReplPosition()
-	primarySnap := store.Snapshot()
-	reports := make([]followerReport, len(followers))
-	for i, f := range followers {
-		cs := time.Now()
-		if !f.WaitFor(flushed, 30*time.Second) {
-			return fmt.Errorf("replica %d never reached %s (applied %s)", i, flushed, f.Applied())
-		}
-		catchUp := time.Since(cs)
-		if diff := indep.DiffDatabases(primarySnap, f.Snapshot()); diff != nil {
-			return fmt.Errorf("replica %d diverged from primary: %s", i, strings.Join(diff, "; "))
-		}
-		st := f.ReplStats()
-		reports[i] = followerReport{
-			AppliedRecords: st.AppliedRecords,
-			SkippedRecords: st.SkippedRecords,
-			Resyncs:        st.Resyncs,
-			Healthy:        st.Healthy,
-			CatchUpNs:      catchUp.Nanoseconds(),
-		}
-	}
-
-	rs := readLat.Snapshot()
-	reads := int64(rs.Count)
-	p50, p90, p99, p999 := rs.Quantiles()
-	allocsPerOp, bytesPerOp := probe.perOp(wrote.Load() + reads)
-	if cfg.jsonOut {
-		w := wrote.Load()
-		return emitJSON(benchReport{
-			Mode: "cluster", Shape: cfg.shape, Schemes: len(rels), Attrs: cfg.attrs,
-			FastPath: store.FastPath(), Store: mode,
-			Workers: cfg.workers, Batch: cfg.batch, Readers: cfg.readers,
-			WriteTuples: w,
-			WriteTPS:    float64(w) / elapsed.Seconds(),
-			ReadQueries: reads,
-			ReadQPS:     float64(reads) / elapsed.Seconds(),
-			ReadP50Ns:   p50,
-			ReadP99Ns:   p99,
-			MeasuredOps: w + reads,
-			AllocsPerOp: allocsPerOp, BytesPerOp: bytesPerOp,
-			ElapsedNs:   elapsed.Nanoseconds(),
-			ReadLat:     latFromSnapshot(rs),
-			Replicas:    cfg.replicas,
-			Replication: reports,
-		})
-	}
-	fmt.Printf("writes: %d tuples in %v (%.0f tuples/s)\n",
-		wrote.Load(), elapsed.Round(time.Millisecond),
-		float64(wrote.Load())/elapsed.Seconds())
-	fmt.Printf("reads:  %d window queries (%.0f queries/s) p50=%v p90=%v p99=%v p999=%v across %d node(s)\n",
-		reads, float64(reads)/elapsed.Seconds(),
-		time.Duration(p50), time.Duration(p90), time.Duration(p99), time.Duration(p999),
-		len(targets))
-	for i, rep := range reports {
-		fmt.Printf("replica %d: applied=%d skipped=%d resyncs=%d healthy=%v caught up in %v; converged\n",
-			i, rep.AppliedRecords, rep.SkippedRecords, rep.Resyncs, rep.Healthy,
-			time.Duration(rep.CatchUpNs).Round(time.Millisecond))
-	}
-	printWALStats(ds)
-	return nil
-}
-
-// printWALStats reports the log's depth and group-commit batching win;
-// shared by the -engine and -query epilogues.
-func printWALStats(ds *indep.DurableStore) {
-	ws := ds.WAL()
-	perGroup := float64(ws.Records)
-	if ws.CommitGroups > 0 {
-		perGroup = float64(ws.Records) / float64(ws.CommitGroups)
-	}
-	fmt.Printf("wal: segments=%d totalBytes=%d records=%d commitGroups=%d syncs=%d (%.1f records/group)\n",
-		ws.Segments, ws.TotalBytes, ws.Records, ws.CommitGroups, ws.Syncs, perGroup)
 }

@@ -265,6 +265,12 @@ func (d *Dict) Lookup(name string) (relation.Value, bool) {
 	return relation.Value(i*dictShards + si), true
 }
 
+// LookupBytes is Lookup for a name held as bytes, such as a view into a
+// request body. It never allocates and never interns.
+func (d *Dict) LookupBytes(b []byte) (relation.Value, bool) {
+	return d.Lookup(unsafe.String(unsafe.SliceData(b), len(b)))
+}
+
 // Name returns the display name of v, or its numeral if v was never
 // interned. The string aliases the dictionary's write-once arena: it is
 // not copied, and it never changes.

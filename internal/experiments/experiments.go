@@ -50,7 +50,7 @@ func (p Params) rng() *rand.Rand {
 // Runner executes one experiment and returns its report.
 type Runner func(Params) string
 
-// Registry lists all experiments in DESIGN.md order.
+// Registry lists all experiments; Order gives EXPERIMENTS.md's order.
 var Registry = map[string]Runner{
 	"E1": E1, "E2": E2, "E3": E3,
 	"T1": T1, "T2": T2, "T3": T3,

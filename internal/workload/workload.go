@@ -223,7 +223,7 @@ func Example2Broken() (*schema.Schema, fd.List) {
 	return s, fd.MustParse(s.U, "C -> T; C H -> R; S H -> R")
 }
 
-// Example3 returns the paper's Example 3 (recovered; see DESIGN.md):
+// Example3 returns the paper's Example 3 (recovered; see EXPERIMENTS.md):
 // R1(A1,B1), R2(A1,B1,A2,B2,C) with A1→A2, B1→B2, A1B1→C, A2B2→A1B1C.
 func Example3() (*schema.Schema, fd.List) {
 	s := schema.MustParse("R1(A1,B1); R2(A1,B1,A2,B2,C)")
