@@ -92,6 +92,18 @@ func BenchmarkAnalyzeScaling(b *testing.B) {
 			}
 		})
 	}
+	// The 25-attribute star schema indepd serves in the repo benchmark,
+	// whose decision sits on every daemon's start-up path.
+	star := MustParse("FACT(A,B,C,D); DIM1(A,E,F,G,H,I); DIM2(B,J,K,L,M,N); DIM3(C,O,P,Q,R,S); DIM4(D,T,U,V,W,X,Y)",
+		"A -> E F G H I; B -> J K L M N; C -> O P Q R S; D -> T U V W X Y")
+	b.Run("shape=star", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if res, err := independence.Decide(star.s, star.fds); err != nil || !res.Independent {
+				b.Fatal("star must be independent")
+			}
+		}
+	})
 }
 
 func BenchmarkCoverEmbedding(b *testing.B) {

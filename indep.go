@@ -38,6 +38,7 @@ import (
 	"indep/internal/independence"
 	"indep/internal/infer"
 	"indep/internal/query"
+	"indep/internal/relation"
 	"indep/internal/schema"
 )
 
@@ -46,9 +47,12 @@ type Schema struct {
 	s   *schema.Schema
 	fds fd.List
 
-	// qmu guards qev, the lazily built window-query evaluator shared by
-	// every Database of this schema (see Database.Query).
-	qmu sync.Mutex
+	// mu guards res, the independence decision Analyze and the window
+	// evaluator share, and qev, the window-query evaluator shared by every
+	// Database of this schema (see Database.Query). Both are built on
+	// first use.
+	mu  sync.Mutex
+	res *independence.Result
 	qev *query.Evaluator
 }
 
@@ -195,16 +199,36 @@ type Analysis struct {
 // Analyze runs the paper's polynomial independence test and, on failure,
 // returns a chase-verified counterexample state.
 func (s *Schema) Analyze() (*Analysis, error) {
-	res, err := independence.Decide(s.s, s.fds)
+	res, err := s.decision()
 	if err != nil {
 		return nil, err
 	}
 	return s.newAnalysis(res), nil
 }
 
+// decision returns the schema's independence decision, running the decision
+// procedure on first use only.
+func (s *Schema) decision() (*independence.Result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.decisionLocked()
+}
+
+func (s *Schema) decisionLocked() (*independence.Result, error) {
+	if s.res == nil {
+		res, err := independence.Decide(s.s, s.fds)
+		if err != nil {
+			return nil, err
+		}
+		s.res = res
+	}
+	return s.res, nil
+}
+
 // newAnalysis converts a decision-procedure result into the public Analysis;
 // shared by Analyze and OpenConcurrentStore (which gets the result from its
-// engine rather than deciding twice).
+// engine rather than deciding twice). The result may be shared, so the
+// Analysis gets its own copy of the witness state, which callers may mutate.
 func (s *Schema) newAnalysis(res *independence.Result) *Analysis {
 	a := &Analysis{
 		Independent: res.Independent,
@@ -242,7 +266,10 @@ func (s *Schema) newAnalysis(res *independence.Result) *Analysis {
 	}
 	a.WitnessKind = string(res.WitnessKind)
 	if res.Witness != nil {
-		a.Witness = &Database{schema: s, st: res.Witness}
+		st := res.Witness.Clone()
+		st.Dict = &relation.Dict{}
+		res.Witness.Dict.Each(st.Dict.Define)
+		a.Witness = &Database{schema: s, st: st}
 	}
 	return a
 }

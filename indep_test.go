@@ -98,6 +98,50 @@ func TestAnalyzeNotIndependentWithWitness(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSharesDecisionNotWitness checks that a Schema decides once —
+// Analyze and the window evaluator reuse one result — while every Analysis
+// still owns its witness: mutating one leaves the next Analyze untouched.
+func TestAnalyzeSharesDecisionNotWitness(t *testing.T) {
+	s := MustParse("CD(C,D); CT(C,T); TD(T,D)", "C -> D; C -> T; T -> D")
+	a1, err := s.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.res
+	a2, err := s.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.WindowConsults("C", "T"); err != nil {
+		t.Fatal(err)
+	}
+	if s.res != res {
+		t.Fatal("the schema decided again")
+	}
+	if a1.Witness == a2.Witness {
+		t.Fatal("two analyses share one witness")
+	}
+	before := a2.Witness.String()
+	if err := a1.Witness.Insert("CT", map[string]string{"C": "new-course", "T": "new-teacher"}); err != nil {
+		t.Fatal(err)
+	}
+	if a1.Witness.String() == before {
+		t.Fatal("insert did not change the mutated witness")
+	}
+	a3, err := s.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*Analysis{a2, a3} {
+		if got := a.Witness.String(); got != before {
+			t.Fatalf("witness changed by another analysis's insert:\n%s\nwant\n%s", got, before)
+		}
+		if _, ok := a.Witness.st.Dict.Lookup("new-course"); ok {
+			t.Fatal("witness dictionary shared with another analysis")
+		}
+	}
+}
+
 func TestDatabasePaperExample1(t *testing.T) {
 	s := MustParse("CD(C,D); CT(C,T); TD(T,D)", "C -> D; C -> T; T -> D")
 	db := s.NewDatabase()

@@ -19,7 +19,7 @@ type AcceptedRun struct {
 	s         *schema.Schema
 	l         int
 	available attrset.Set
-	tAttr     map[int]tableau.T
+	tAttr     []tableau.T // T(A) by attribute; nil when A is unavailable
 }
 
 // PrepareExtension runs The Loop for scheme l and, on acceptance, returns

@@ -18,7 +18,9 @@
 package independence
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"indep/internal/attrset"
 	"indep/internal/fd"
@@ -79,18 +81,20 @@ type IterationTrace struct {
 }
 
 // loopRun holds the state of one run of The Loop for a fixed scheme R_l.
+// Per-l.h.s. state is kept in slices indexed by position in lhss, and
+// per-attribute state in slices indexed by attribute.
 type loopRun struct {
 	s     *schema.Schema
 	cover infer.AssignedList
 	l     int
 
 	lhss      []lhsID
-	localClo  map[lhsID]attrset.Set // X* = closure of X under F_i
+	localClo  []attrset.Set // X* = closure of X under F_i
 	available attrset.Set
-	tAttr     map[int]tableau.T
-	tLHS      map[lhsID]tableau.T
-	hasTab    map[lhsID]bool
-	processed map[lhsID]bool
+	tAttr     []tableau.T // T(A); nil until A is available
+	tLHS      []tableau.T // T(X), frozen once X is available (hasTab)
+	hasTab    []bool
+	processed []bool
 
 	Trace []IterationTrace
 }
@@ -98,18 +102,13 @@ type loopRun struct {
 // newLoopRun prepares a run of The Loop analyzing scheme l.
 func newLoopRun(s *schema.Schema, cover infer.AssignedList, l int) *loopRun {
 	r := &loopRun{
-		s:         s,
-		cover:     cover,
-		l:         l,
-		localClo:  make(map[lhsID]attrset.Set),
-		tAttr:     make(map[int]tableau.T),
-		tLHS:      make(map[lhsID]tableau.T),
-		hasTab:    make(map[lhsID]bool),
-		processed: make(map[lhsID]bool),
+		s:     s,
+		cover: cover,
+		l:     l,
+		tAttr: make([]tableau.T, s.U.Size()),
 	}
 	// Collect the left-hand sides of every scheme other than R_l (the paper
 	// constructs tableaux only "for each l.h.s. X of each R_j (j ≠ l)").
-	seen := make(map[lhsID]bool)
 	for _, a := range cover {
 		if a.Scheme == l {
 			continue
@@ -117,15 +116,22 @@ func newLoopRun(s *schema.Schema, cover infer.AssignedList, l int) *loopRun {
 		if a.RHS.SubsetOf(a.LHS) {
 			continue // trivial FDs induce no l.h.s.
 		}
-		id := lhsID{Scheme: a.Scheme, Set: a.LHS}
-		if !seen[id] {
-			seen[id] = true
-			r.lhss = append(r.lhss, id)
-			r.localClo[id] = fd.Closure(cover.ForScheme(a.Scheme), a.LHS)
-		}
+		r.lhss = append(r.lhss, lhsID{Scheme: a.Scheme, Set: a.LHS})
 	}
 	// Deterministic processing order.
-	sortLHSIDs(r.lhss)
+	slices.SortFunc(r.lhss, compareLHSIDs)
+	r.lhss = slices.Compact(r.lhss)
+	r.localClo = make([]attrset.Set, len(r.lhss))
+	r.tLHS = make([]tableau.T, len(r.lhss))
+	r.hasTab = make([]bool, len(r.lhss))
+	r.processed = make([]bool, len(r.lhss))
+	forScheme := make([]fd.List, len(s.Rels))
+	for _, a := range cover {
+		forScheme[a.Scheme] = append(forScheme[a.Scheme], a.FD)
+	}
+	for i, id := range r.lhss {
+		r.localClo[i] = fd.Closure(forScheme[id.Scheme], id.Set)
+	}
 	// Initialization: the attributes of R_l are available with empty
 	// tableaux.
 	r.available = s.Attrs(l)
@@ -137,24 +143,23 @@ func newLoopRun(s *schema.Schema, cover infer.AssignedList, l int) *loopRun {
 	return r
 }
 
-func sortLHSIDs(ids []lhsID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ids[j-1], ids[j]
-			if b.Scheme < a.Scheme || (b.Scheme == a.Scheme && attrset.Less(b.Set, a.Set)) {
-				ids[j-1], ids[j] = b, a
-			} else {
-				break
-			}
-		}
+func compareLHSIDs(a, b lhsID) int {
+	switch {
+	case a.Scheme != b.Scheme:
+		return cmp.Compare(a.Scheme, b.Scheme)
+	case a.Set == b.Set:
+		return 0
+	case attrset.Less(a.Set, b.Set):
+		return -1
 	}
+	return 1
 }
 
 // refreshTableaux freezes T(X) for every l.h.s. that has just become
 // available: T(X) = ∪_{A∈X} T(A) ∪ {X*-row}.
 func (r *loopRun) refreshTableaux() {
-	for _, id := range r.lhss {
-		if r.hasTab[id] || !id.Set.SubsetOf(r.available) {
+	for i, id := range r.lhss {
+		if r.hasTab[i] || !id.Set.SubsetOf(r.available) {
 			continue
 		}
 		t := tableau.T{}
@@ -162,25 +167,25 @@ func (r *loopRun) refreshTableaux() {
 			t = t.Union(r.tAttr[a])
 			return true
 		})
-		t = t.Add(tableau.Row{Tag: id.Scheme, DVs: r.localClo[id]})
-		r.tLHS[id] = t
-		r.hasTab[id] = true
+		r.tLHS[i] = t.Add(tableau.Row{Tag: id.Scheme, DVs: r.localClo[i]})
+		r.hasTab[i] = true
 	}
 }
 
-// candidates returns the available, unprocessed left-hand sides.
-func (r *loopRun) candidates() []lhsID {
-	var out []lhsID
-	for _, id := range r.lhss {
-		if r.hasTab[id] && !r.processed[id] {
-			out = append(out, id)
+// candidates returns the positions of the available, unprocessed
+// left-hand sides.
+func (r *loopRun) candidates() []int {
+	var out []int
+	for i := range r.lhss {
+		if r.hasTab[i] && !r.processed[i] {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
 // pickWeakest returns a minimal candidate under the strict weakness order.
-func (r *loopRun) pickWeakest(cands []lhsID) lhsID {
+func (r *loopRun) pickWeakest(cands []int) int {
 	for _, c := range cands {
 		minimal := true
 		for _, d := range cands {
@@ -204,39 +209,39 @@ func (r *loopRun) Run() *Rejection {
 		if len(cands) == 0 {
 			return nil // accept
 		}
-		x := r.pickWeakest(cands)
-		tx := r.tLHS[x]
+		xi := r.pickWeakest(cands)
+		x, tx := r.lhss[xi], r.tLHS[xi]
 
 		// (1)–(2) E(X): available l.h.s. of the same scheme equivalent to X;
 		// W(X): available l.h.s. of the same scheme strictly weaker than X.
-		var equiv, weaker []lhsID
-		for _, id := range r.lhss {
-			if id.Scheme != x.Scheme || !r.hasTab[id] || id == x {
+		var equiv, weaker []int
+		for i, id := range r.lhss {
+			if id.Scheme != x.Scheme || !r.hasTab[i] || i == xi {
 				continue
 			}
 			switch {
-			case tableau.Equiv(r.tLHS[id], tx):
-				equiv = append(equiv, id)
-			case tableau.Lt(r.tLHS[id], tx):
-				weaker = append(weaker, id)
+			case tableau.Equiv(r.tLHS[i], tx):
+				equiv = append(equiv, i)
+			case tableau.Lt(r.tLHS[i], tx):
+				weaker = append(weaker, i)
 			}
 		}
 
 		// (3) X*_old: closure of X under WF(X) = {Z → Z* | Z ∈ W(X)}.
 		var wf fd.List
 		for _, z := range weaker {
-			wf = append(wf, fd.FD{LHS: z.Set, RHS: r.localClo[z]})
+			wf = append(wf, fd.FD{LHS: r.lhss[z].Set, RHS: r.localClo[z]})
 		}
-		xStar := r.localClo[x]
+		xStar := r.localClo[xi]
 		xOld := fd.Closure(wf, x.Set)
 		xNew := xStar.Diff(xOld)
 
 		tr := IterationTrace{Scheme: x.Scheme, LHS: x.Set, StarOld: xOld, StarNew: xNew}
 		for _, e := range equiv {
-			tr.Equiv = append(tr.Equiv, e.Set)
+			tr.Equiv = append(tr.Equiv, r.lhss[e].Set)
 		}
 		for _, w := range weaker {
-			tr.Weaker = append(tr.Weaker, w.Set)
+			tr.Weaker = append(tr.Weaker, r.lhss[w].Set)
 		}
 		r.Trace = append(r.Trace, tr)
 
@@ -258,8 +263,9 @@ func (r *loopRun) Run() *Rejection {
 		}
 
 		// (5) Every equivalent l.h.s. must compute the same new attributes.
-		for _, y := range equiv {
-			yStar := r.localClo[y]
+		for _, yi := range equiv {
+			y := r.lhss[yi]
+			yStar := r.localClo[yi]
 			yOld := fd.Closure(wf, y.Set)
 			yNew := yStar.Diff(yOld)
 			if yNew != xNew {
@@ -271,6 +277,10 @@ func (r *loopRun) Run() *Rejection {
 					// Defensive: fall back to any available attr of yNew.
 					a = yNew.Intersect(r.available).First()
 				}
+				var tabAttr tableau.T
+				if a >= 0 {
+					tabAttr = r.tAttr[a]
+				}
 				return &Rejection{
 					Site:     RejectLine5,
 					Analyzed: r.l,
@@ -280,8 +290,8 @@ func (r *loopRun) Run() *Rejection {
 					Attr:     a,
 					Star:     yStar,
 					StarNew:  yNew,
-					TabLHS:   r.tLHS[y],
-					TabAttr:  r.tAttr[a],
+					TabLHS:   r.tLHS[yi],
+					TabAttr:  tabAttr,
 				}
 			}
 		}
@@ -298,12 +308,12 @@ func (r *loopRun) Run() *Rejection {
 
 		// (8) Mark processed every (still unprocessed) l.h.s. Z of the same
 		// scheme with Z* ⊆ X* — including X itself.
-		for _, id := range r.lhss {
-			if id.Scheme == x.Scheme && !r.processed[id] && r.localClo[id].SubsetOf(xStar) {
-				r.processed[id] = true
+		for i, id := range r.lhss {
+			if id.Scheme == x.Scheme && !r.processed[i] && r.localClo[i].SubsetOf(xStar) {
+				r.processed[i] = true
 			}
 		}
-		if !r.processed[x] {
+		if !r.processed[xi] {
 			panic("independence: picked l.h.s. not marked processed") // X* ⊆ X* always holds
 		}
 	}

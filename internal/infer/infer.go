@@ -36,12 +36,43 @@ import (
 // Closure returns cl_Σ(X) for Σ = fds ∪ {*D}: all attributes A such that
 // Σ ⊨ X → A. Polynomial in |U|·|F|.
 func Closure(s *schema.Schema, fds fd.List, x attrset.Set) attrset.Set {
-	split := fds.Split()
+	return newCloser(s, fds).closure(x)
+}
+
+// Implies reports whether fds ∪ {*D} ⊨ f.
+func Implies(s *schema.Schema, fds fd.List, f fd.FD) bool {
+	return f.RHS.SubsetOf(Closure(s, fds, f.LHS))
+}
+
+// closer computes cl_Σ closures for one (schema, F) pair. F is split once,
+// the component buffer is reused across fixpoint rounds, and closures are
+// remembered by their input set: the Lemma 5 iteration asks for the same
+// cl_Σ(R_i ∩ Z) for every FD of F.
+type closer struct {
+	s     *schema.Schema
+	split fd.List
+	comps []attrset.Set
+	memo  map[attrset.Set]attrset.Set
+}
+
+func newCloser(s *schema.Schema, fds fd.List) *closer {
+	return &closer{
+		s:     s,
+		split: fds.Split(),
+		comps: make([]attrset.Set, 0, len(s.Rels)),
+		memo:  make(map[attrset.Set]attrset.Set),
+	}
+}
+
+func (c *closer) closure(x attrset.Set) attrset.Set {
+	if m, ok := c.memo[x]; ok {
+		return m
+	}
 	m := x
 	for changed := true; changed; {
 		changed = false
-		comps := s.Components(m)
-		for _, f := range split {
+		c.comps = c.s.Components(m, c.comps)
+		for _, f := range c.split {
 			b := f.RHS.First()
 			if m.Has(b) {
 				continue
@@ -50,18 +81,25 @@ func Closure(s *schema.Schema, fds fd.List, x attrset.Set) attrset.Set {
 			// only get finer as M grows, so a firing justified by stale
 			// components is justified by fresh ones too. Completeness comes
 			// from the outer fixpoint loop.
-			if !comps[b].Intersects(f.LHS.Diff(m)) {
+			if lhs := f.LHS.Diff(m); lhs.IsEmpty() || !c.componentOf(b).Intersects(lhs) {
 				m.Add(b)
 				changed = true
 			}
 		}
 	}
+	c.memo[x] = m
 	return m
 }
 
-// Implies reports whether fds ∪ {*D} ⊨ f.
-func Implies(s *schema.Schema, fds fd.List, f fd.FD) bool {
-	return f.RHS.SubsetOf(Closure(s, fds, f.LHS))
+// componentOf returns the component of the last Components call that holds
+// attribute a, or the empty set.
+func (c *closer) componentOf(a int) attrset.Set {
+	for _, comp := range c.comps {
+		if comp.Has(a) {
+			return comp
+		}
+	}
+	return attrset.Set{}
 }
 
 // EmbeddedStep records one productive application of the Lemma 5 iteration:
@@ -77,13 +115,17 @@ type EmbeddedStep struct {
 // of FDs that are implied by Σ and embedded in some scheme of D. The trace
 // of productive steps supports ExtractCover.
 func ClosureEmbedded(s *schema.Schema, fds fd.List, x attrset.Set) (attrset.Set, []EmbeddedStep) {
+	return newCloser(s, fds).embedded(x)
+}
+
+func (c *closer) embedded(x attrset.Set) (attrset.Set, []EmbeddedStep) {
 	z := x
 	var steps []EmbeddedStep
 	for changed := true; changed; {
 		changed = false
-		for i, r := range s.Rels {
+		for i, r := range c.s.Rels {
 			lhs := r.Attrs.Intersect(z)
-			rhs := r.Attrs.Intersect(Closure(s, fds, lhs))
+			rhs := r.Attrs.Intersect(c.closure(lhs))
 			add := rhs.Diff(z)
 			if !add.IsEmpty() {
 				steps = append(steps, EmbeddedStep{
@@ -104,14 +146,8 @@ func ClosureEmbedded(s *schema.Schema, fds fd.List, x attrset.Set) (attrset.Set,
 // fds follows from the embedded implied FDs. The failing FDs (if any) are
 // returned split to single-attribute right-hand sides.
 func CoverEmbeds(s *schema.Schema, fds fd.List) (bool, fd.List) {
-	var failing fd.List
-	for _, f := range fds.Split() {
-		closed, _ := ClosureEmbedded(s, fds, f.LHS)
-		if !f.RHS.SubsetOf(closed) {
-			failing = append(failing, f)
-		}
-	}
-	return len(failing) == 0, failing
+	_, ok, failing := ExtractCover(s, fds)
+	return ok, failing
 }
 
 // AllEmbedded reports whether every FD of fds is embedded in some scheme of
@@ -193,8 +229,9 @@ func ExtractCover(s *schema.Schema, fds fd.List) (cover AssignedList, ok bool, f
 		lhs    attrset.Set
 	}
 	seen := make(map[key]bool)
-	for _, f := range fds.Split() {
-		closed, steps := ClosureEmbedded(s, fds, f.LHS)
+	c := newCloser(s, fds)
+	for _, f := range c.split {
+		closed, steps := c.embedded(f.LHS)
 		if !f.RHS.SubsetOf(closed) {
 			failing = append(failing, f)
 			continue

@@ -1,6 +1,10 @@
 package schema
 
-import "testing"
+import (
+	"testing"
+
+	"indep/internal/attrset"
+)
 
 // FuzzParse asserts the schema parser never panics and that anything it
 // accepts passes the structural validator (Parse promises a valid schema
@@ -32,5 +36,23 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("Parse(%q): scheme %d not findable by name %q", src, i, s.Name(i))
 			}
 		}
+	})
+}
+
+// FuzzComponents checks the bitset component merge against the reference
+// union-find on arbitrary hypergraphs over 64 attributes: every three bytes
+// of edges name the attributes of one hyperedge, and removed is the
+// attribute mask deleted before the components are taken.
+func FuzzComponents(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 1, 2, 2, 2, 3, 3}, uint64(0))
+	f.Add([]byte{0, 1, 1, 1, 2, 2, 2, 3, 3}, uint64(1<<2))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 5, 6, 0, 9, 9, 9}, uint64(1<<5|1<<0))
+	f.Add([]byte{7}, ^uint64(0))
+	f.Fuzz(func(t *testing.T, edges []byte, removed uint64) {
+		var sets []attrset.Set
+		for i := 0; i+2 < len(edges) && len(sets) < 64; i += 3 {
+			sets = append(sets, attrset.Of(int(edges[i]%64), int(edges[i+1]%64), int(edges[i+2]%64)))
+		}
+		checkComponents(t, hypergraph(64, sets), attrset.Set{removed})
 	})
 }

@@ -5,7 +5,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"indep/internal/attrset"
@@ -124,66 +123,50 @@ func (s *Schema) String() string {
 // Components returns the connected components of the hypergraph whose
 // hyperedges are the scheme attribute sets with the attributes of `removed`
 // deleted. Two attributes are connected when some pruned scheme contains
-// both. The result maps each remaining attribute to its component set;
-// attributes of `removed` (and attributes outside every scheme) are absent.
+// both. The components are appended to buf[:0], at most one per scheme, in
+// no particular order; attributes of `removed` (and attributes outside every
+// scheme) lie in none of them. With cap(buf) ≥ |D| it does not allocate.
+//
+// Each pruned hyperedge absorbs every component found so far that it
+// meets; the components stay pairwise disjoint, so a merge is a few word
+// operations on bitsets.
 //
 // This is the combinatorial core of the polynomial FD-implication test for
 // F ∪ {*D} (see internal/infer): after merging a closed set M of attributes
 // in the two-row chase, the rows derivable with the JD-rule for *D are
 // exactly the vectors constant on each component of {R_i − M}.
-func (s *Schema) Components(removed attrset.Set) map[int]attrset.Set {
-	// Union-find over attributes.
-	parent := make(map[int]int)
-	var find func(a int) int
-	find = func(a int) int {
-		for parent[a] != a {
-			parent[a] = parent[parent[a]]
-			a = parent[a]
-		}
-		return a
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
+func (s *Schema) Components(removed attrset.Set, buf []attrset.Set) []attrset.Set {
+	comps := buf[:0]
 	for _, r := range s.Rels {
-		pruned := r.Attrs.Diff(removed)
-		first := pruned.First()
-		if first < 0 {
+		c := r.Attrs.Diff(removed)
+		if c.IsEmpty() {
 			continue
 		}
-		pruned.ForEach(func(a int) bool {
-			if _, ok := parent[a]; !ok {
-				parent[a] = a
+		for j := 0; j < len(comps); {
+			if !comps[j].Intersects(c) {
+				j++
+				continue
 			}
-			union(first, a)
-			return true
-		})
+			c = c.Union(comps[j])
+			last := len(comps) - 1
+			comps[j] = comps[last]
+			comps = comps[:last]
+		}
+		comps = append(comps, c)
 	}
-	comps := make(map[int]attrset.Set)
-	for a := range parent {
-		r := find(a)
-		c := comps[r]
-		c.Add(a)
-		comps[r] = c
-	}
-	out := make(map[int]attrset.Set, len(parent))
-	for _, c := range comps {
-		c.ForEach(func(a int) bool {
-			out[a] = c
-			return true
-		})
-	}
-	return out
+	return comps
 }
 
 // ComponentOf returns the connected component containing attribute a in the
 // hypergraph {R_i − removed}, or the empty set if a was removed or appears
 // in no scheme.
 func (s *Schema) ComponentOf(a int, removed attrset.Set) attrset.Set {
-	return s.Components(removed)[a]
+	for _, c := range s.Components(removed, nil) {
+		if c.Has(a) {
+			return c
+		}
+	}
+	return attrset.Set{}
 }
 
 // Parse builds a schema from a compact textual form:
@@ -235,18 +218,10 @@ func MustParse(src string) *Schema {
 	return s
 }
 
-// SortedComponentList returns the distinct components of Components(removed)
-// in deterministic order; useful for printing and tests.
+// SortedComponentList returns the components of {R_i − removed} in
+// deterministic order; useful for printing and tests.
 func (s *Schema) SortedComponentList(removed attrset.Set) []attrset.Set {
-	byAttr := s.Components(removed)
-	seen := make(map[attrset.Set]bool)
-	var out []attrset.Set
-	for _, c := range byAttr {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return attrset.Less(out[i], out[j]) })
+	out := s.Components(removed, nil)
+	attrset.SortSets(out)
 	return out
 }

@@ -83,7 +83,7 @@ func TestSchemesEmbedding(t *testing.T) {
 func TestComponentsNoRemoval(t *testing.T) {
 	s := MustParse("R1(A,B); R2(B,C); R3(D,E)")
 	u := s.U
-	comps := s.SortedComponentList(attrset.Set{})
+	comps := checkComponents(t, s, attrset.Set{})
 	want := []attrset.Set{u.Set("D", "E"), u.Set("A", "B", "C")}
 	attrset.SortSets(want)
 	if !reflect.DeepEqual(comps, want) {
@@ -96,6 +96,7 @@ func TestComponentsWithRemoval(t *testing.T) {
 	s := MustParse("R1(A,B); R2(B,C)")
 	u := s.U
 	removed := u.Set("B")
+	checkComponents(t, s, removed)
 	if got := s.ComponentOf(u.MustIndex("A"), removed); got != u.Set("A") {
 		t.Errorf("component of A = %v", u.Format(got, ""))
 	}
@@ -113,6 +114,7 @@ func TestComponentsChain(t *testing.T) {
 	s := MustParse("R1(A,B); R2(B,C); R3(C,D)")
 	u := s.U
 	removed := u.Set("C")
+	checkComponents(t, s, removed)
 	if got := s.ComponentOf(u.MustIndex("A"), removed); got != u.Set("A", "B") {
 		t.Errorf("component of A = %v", u.Format(got, ""))
 	}
@@ -123,7 +125,7 @@ func TestComponentsChain(t *testing.T) {
 
 func TestComponentsAllRemoved(t *testing.T) {
 	s := MustParse("R1(A,B)")
-	if comps := s.Components(s.U.All()); len(comps) != 0 {
+	if comps := checkComponents(t, s, s.U.All()); len(comps) != 0 {
 		t.Errorf("expected no components, got %v", comps)
 	}
 }

@@ -16,8 +16,9 @@
 package tableau
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"indep/internal/attrset"
@@ -50,21 +51,30 @@ func (t T) Add(r Row) T {
 	return out
 }
 
-// Union returns the union of two tableaux.
+// Union returns the union of two tableaux, in the canonical row order Add
+// keeps. The rows are appended, sorted and deduplicated once, instead of
+// one copy-and-sort per row.
 func (t T) Union(o T) T {
-	out := t
-	for _, r := range o {
-		out = out.Add(r)
+	if len(o) == 0 {
+		return t
 	}
-	return out
+	out := make(T, 0, len(t)+len(o))
+	out = append(append(out, t...), o...)
+	out.sort()
+	return slices.Compact(out)
 }
 
 func (t T) sort() {
-	sort.Slice(t, func(i, j int) bool {
-		if t[i].Tag != t[j].Tag {
-			return t[i].Tag < t[j].Tag
+	slices.SortFunc(t, func(a, b Row) int {
+		switch {
+		case a.Tag != b.Tag:
+			return cmp.Compare(a.Tag, b.Tag)
+		case a.DVs == b.DVs:
+			return 0
+		case attrset.Less(a.DVs, b.DVs):
+			return -1
 		}
-		return attrset.Less(t[i].DVs, t[j].DVs)
+		return 1
 	})
 }
 

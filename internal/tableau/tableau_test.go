@@ -1,6 +1,8 @@
 package tableau
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"indep/internal/attrset"
@@ -66,6 +68,47 @@ func TestUnionValueSemantics(t *testing.T) {
 	u := a.Union(b)
 	if len(a) != 1 || len(b) != 1 || len(u) != 2 {
 		t.Fatal("union must not mutate operands")
+	}
+}
+
+// TestUnionMatchesRepeatedAdd checks the sort-once Union against the
+// row-at-a-time definition, row order included, on random tableaux: t is
+// canonical (built by Add) and o is an arbitrary row list that may repeat
+// rows of t and of itself.
+func TestUnionMatchesRepeatedAdd(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	randRow := func() Row {
+		var dvs attrset.Set
+		for k := r.Intn(4); k > 0; k-- {
+			dvs.Add(r.Intn(6))
+		}
+		return Row{Tag: r.Intn(3), DVs: dvs}
+	}
+	for iter := 0; iter < 5000; iter++ {
+		var a T
+		for k := r.Intn(8); k > 0; k-- {
+			a = a.Add(randRow())
+		}
+		o := make(T, r.Intn(8))
+		for i := range o {
+			if len(a) > 0 && r.Intn(3) == 0 {
+				o[i] = a[r.Intn(len(a))]
+			} else {
+				o[i] = randRow()
+			}
+		}
+		want := a
+		for _, row := range o {
+			want = want.Add(row)
+		}
+		before := append(T(nil), a...)
+		got := a.Union(o)
+		if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+			t.Fatalf("%v ∪ %v = %v, repeated Add gives %v", a, o, got, want)
+		}
+		if !reflect.DeepEqual(a, before) {
+			t.Fatalf("Union mutated its receiver: %v, was %v", a, before)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ type LogStats struct {
 	TotalBytes   int64  // bytes across all live segments: the replay debt
 	Records      uint64 // records appended to the log
 	Syncs        uint64 // fsync calls issued
-	CommitGroups uint64 // write groups (Records/CommitGroups = batching win)
+	CommitGroups uint64 // commit groups holding records (Records/CommitGroups = batching win)
 }
 
 // Log is an append-only write-ahead log with group commit. Any number of
@@ -431,8 +431,8 @@ func (l *Log) process(batch []queued) {
 
 	var pend []byte          // coalesced frames not yet written
 	var waiters []chan error // commit waiters not yet acknowledged
-	var appends uint64
-	var wrote int64
+	var appends uint64       // records written since the last commit
+	var wrote int64          // bytes written since the last commit
 
 	fail := func(err error) {
 		l.mu.Lock()
@@ -478,17 +478,27 @@ func (l *Log) process(batch []queued) {
 			l.stats.Syncs++
 			l.mu.Unlock()
 		}
-		// The flushed position must cover the group's bytes before any of
-		// its waiters is acknowledged: Flushed() is the read-your-writes
-		// token, so a caller whose Wait returned must find its record at or
-		// below it. Updating only at the end of the batch would leave a
-		// window — wide when a rotation's file work follows — where an acked
-		// commit sits above the reported flushed end and a replica
-		// synchronizing against it stops one record short.
+		// The stats must cover the group before any of its waiters is
+		// acknowledged. Flushed() is the read-your-writes token, so a
+		// caller whose Wait returned must find its record at or below it;
+		// updating only at the end of the batch would leave a window — wide
+		// when a rotation's file work follows — where an acked commit sits
+		// above the reported flushed end and a replica synchronizing
+		// against it stops one record short. Likewise Records must count
+		// every acknowledged append.
+		if appends > 0 {
+			l.groupRecs.Observe(int64(appends))
+		}
 		l.mu.Lock()
+		if appends > 0 {
+			l.stats.Records += appends
+			l.stats.CommitGroups++
+		}
+		l.stats.TotalBytes += wrote
 		l.stats.ActiveSeq = l.activeSeq
 		l.stats.ActiveBytes = l.offset
 		l.mu.Unlock()
+		appends, wrote = 0, 0
 		for _, w := range waiters {
 			w <- nil
 		}
@@ -538,17 +548,6 @@ func (l *Log) process(batch []queued) {
 		fail(err)
 		return
 	}
-
-	if appends > 0 {
-		l.groupRecs.Observe(int64(appends))
-	}
-	l.mu.Lock()
-	l.stats.Records += appends
-	l.stats.CommitGroups++
-	l.stats.ActiveSeq = l.activeSeq
-	l.stats.ActiveBytes = l.offset
-	l.stats.TotalBytes += wrote
-	l.mu.Unlock()
 
 	// Size-based rotation goes through the queue like Rotate() does —
 	// every rotation allocates its sequence number at enqueue time under

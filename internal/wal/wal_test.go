@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"indep/internal/relation"
@@ -191,6 +192,52 @@ func TestLogGroupCommitConcurrent(t *testing.T) {
 			t.Fatalf("relation %d: replayed %d out of order (want %d)", w, got, next[w])
 		}
 		next[w]++
+	}
+}
+
+// TestLogStatsCoverAckedAppends checks that a group's records are counted
+// before its waiters are acknowledged: right after any Wait returns,
+// Stats().Records covers every append acknowledged so far. Small segments,
+// explicit Sync and Rotate calls make the writer also commit groups ahead
+// of rotation and sync markers.
+func TestLogStatsCoverAckedAppends(t *testing.T) {
+	l, err := OpenLog(t.TempDir(), Options{SegmentBytes: 512, Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const workers, each = 4, 100
+	var acked atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := l.Append(Insert(w, relation.Tuple{relation.Value(i)})).Wait(); err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				n := acked.Add(1)
+				if got := l.Stats().Records; got < n {
+					t.Errorf("Stats().Records = %d after %d acknowledged appends", got, n)
+					return
+				}
+				switch i % 25 {
+				case 7:
+					if err := l.Sync(); err != nil {
+						t.Errorf("sync: %v", err)
+						return
+					}
+				case 19:
+					l.Rotate()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := l.Stats(); st.Records != workers*each || st.CommitGroups == 0 || st.CommitGroups > st.Records {
+		t.Fatalf("records = %d, commit groups = %d, want %d records", st.Records, st.CommitGroups, workers*each)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"indep/internal/chase"
 	"indep/internal/engine"
-	"indep/internal/independence"
 	"indep/internal/obs"
 	"indep/internal/query"
 	"indep/internal/relation"
@@ -210,13 +209,13 @@ func (db *Database) Query(q WindowQuery) (*WindowResult, error) {
 	return out, nil
 }
 
-// windowEvaluator returns the schema's shared window evaluator, running the
-// independence decision procedure once on first use.
+// windowEvaluator returns the schema's shared window evaluator, built on
+// first use from the schema's shared independence decision.
 func (s *Schema) windowEvaluator() (*query.Evaluator, error) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.qev == nil {
-		res, err := independence.Decide(s.s, s.fds)
+		res, err := s.decisionLocked()
 		if err != nil {
 			return nil, err
 		}
