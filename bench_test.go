@@ -681,3 +681,28 @@ func BenchmarkWindowPlanCached(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWindowStar measures the repo benchmark's read classes on a
+// 1,000-fact star store, each selected on one FACT key (A=a7): key is a
+// projection of FACT, dim extends FACT by DIM1, join by DIM1 and DIM2.
+// Plans, probe indexes and the snapshot are warm, so this is the steady
+// read cost: a probe of FACT on A, then one index probe per dimension for
+// each fact it finds.
+func BenchmarkWindowStar(b *testing.B) {
+	cs := starWindowStore(b, 1000, 50)
+	for _, c := range starWindowClasses {
+		q := WindowQuery{Attrs: c.attrs, Where: map[string]string{"A": "a7"}}
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := cs.Query(q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cs.Query(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"indep"
@@ -593,4 +594,83 @@ func FuzzClusterRoute(f *testing.F) {
 			t.Fatalf("state diverged: %v", diffs)
 		}
 	})
+}
+
+// relationCounter counts the fragment fetches a router makes, by relation.
+type relationCounter struct {
+	cluster.Transport
+	mu      *sync.Mutex
+	fetched map[string]int
+}
+
+func (c relationCounter) Relation(ctx context.Context, rel string) (*indep.WindowResult, error) {
+	c.mu.Lock()
+	c.fetched[rel]++
+	c.mu.Unlock()
+	return c.Transport.Relation(ctx, rel)
+}
+
+// TestRouterWindowGathersOnlyConsulted: on the star schema a window over a
+// fact key and one attribute of its dimension gathers only FACT and that
+// dimension from the shards, not all five relations, and still returns
+// the rows of one node holding everything.
+func TestRouterWindowGathersOnlyConsulted(t *testing.T) {
+	sch, err := indep.Parse("FACT(A,B,C,D); DIM1(A,E,F); DIM2(B,J); DIM3(C,O); DIM4(D,T)",
+		"A -> E F; B -> J; C -> O; D -> T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	fetched := map[string]int{}
+	tc := newTestCluster(t, sch, 3, cluster.Options{}, func(shard string, tr cluster.Transport) cluster.Transport {
+		return relationCounter{Transport: tr, mu: &mu, fetched: fetched}
+	})
+	oracle, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []indep.BatchOp
+	for i := 0; i < 6; i++ {
+		n := fmt.Sprint(i)
+		ops = append(ops,
+			indep.BatchOp{Rel: "DIM1", Row: map[string]string{"A": "a" + n, "E": "e" + n, "F": "f" + n}},
+			indep.BatchOp{Rel: "DIM2", Row: map[string]string{"B": "b" + n, "J": "j" + n}},
+			indep.BatchOp{Rel: "DIM3", Row: map[string]string{"C": "c" + n, "O": "o" + n}},
+			indep.BatchOp{Rel: "DIM4", Row: map[string]string{"D": "d" + n, "T": "t" + n}})
+	}
+	for f := 0; f < 30; f++ {
+		ops = append(ops, indep.BatchOp{Rel: "FACT", Row: map[string]string{
+			"A": fmt.Sprint("a", f%7), "B": fmt.Sprint("b", f/7%6), "C": fmt.Sprint("c", f%5), "D": fmt.Sprint("d", f%6)}})
+	}
+	ctx := context.Background()
+	if rep, err := tc.rt.Batch(ctx, encodePayload(t, sch, ops, nil)); err != nil || len(rep.Rejected) > 0 {
+		t.Fatalf("loading the cluster: %v %+v", err, rep)
+	}
+	if err := oracle.InsertBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []indep.WindowQuery{
+		{Attrs: []string{"A", "E"}},
+		{Attrs: []string{"A", "E"}, Where: map[string]string{"A": "a3"}},
+	} {
+		mu.Lock()
+		clear(fetched)
+		mu.Unlock()
+		got, err := tc.rt.Window(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) == 0 || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%v where %v: router rows %v, single node %v", q.Attrs, q.Where, got.Rows, want.Rows)
+		}
+		mu.Lock()
+		if len(fetched) != 2 || fetched["FACT"] == 0 || fetched["DIM1"] == 0 {
+			t.Errorf("%v where %v fetched %v, want FACT and DIM1 fragments only", q.Attrs, q.Where, fetched)
+		}
+		mu.Unlock()
+	}
 }

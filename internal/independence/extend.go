@@ -46,6 +46,11 @@ func (ar *AcceptedRun) Available() attrset.Set { return ar.available }
 // value); otherwise — and for unavailable attributes — ī[A] is a fresh
 // value, returned as a distinct negative placeholder. The returned
 // `determined` set holds the attributes that received state constants.
+//
+// Window evaluation does not call it: internal/query compiles each T(A) of
+// a window's attributes into a fixed probe sequence and yields the same
+// values. ExtendTuple is the reference those plans are tested against, and
+// what Complete builds on.
 func (ar *AcceptedRun) ExtendTuple(st *relation.State, t relation.Tuple) (relation.Tuple, attrset.Set) {
 	cols := ar.s.Attrs(ar.l).Attrs()
 	anchor := tableau.Valuation{}
@@ -77,21 +82,12 @@ func (ar *AcceptedRun) ExtendTuple(st *relation.State, t relation.Tuple) (relati
 	return out, determined
 }
 
-// Consulted returns the schemes whose instances ExtendTuple may read: the
-// tags of every row of every available attribute's minimal calculation.
-// Valuations anchor on the inserted tuple itself, so R_l is consulted only
-// if one of its own tableaux references it. The result is sorted and
-// duplicate-free; a scatter-gather evaluator uses it to fetch exactly the
-// relations a remote window evaluation needs.
-func (ar *AcceptedRun) Consulted() []int {
-	var seen attrset.Set
-	for _, t := range ar.tAttr {
-		for _, row := range t {
-			seen.Add(row.Tag)
-		}
-	}
-	return seen.Attrs()
-}
+// Calculation returns T(A), the minimal calculation of attribute a: the
+// tableau whose valuations agreeing with a tuple of r_l compute the tuple's
+// A value. It is nil when a is unavailable and empty when a ∈ R_l. Window
+// plans compile it into a fixed probe sequence; the tableau is shared and
+// must not be mutated.
+func (ar *AcceptedRun) Calculation(a int) tableau.T { return ar.tAttr[a] }
 
 // Complete adds to every relation of the state the projection of the
 // extension of each tuple of r_l, restricted to determined attributes'

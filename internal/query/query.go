@@ -19,8 +19,12 @@
 // Theorem 1 imposes.
 //
 // Plans are cached per attribute set: deciding which relations can
-// contribute to a window (and materializing their extension data) happens
-// once per distinct X, so repeated windows skip straight to evaluation.
+// contribute to a window, and compiling the minimal calculations of X's
+// attributes into fixed probe steps (compile.go), happens once per distinct
+// X, so repeated windows skip straight to evaluation. Equality selections
+// are pushed into evaluation (Select): anchor relations are probed on their
+// selected columns, and extensions that derive another value for a
+// selected attribute are dropped as soon as it is computed.
 // Evaluators are safe for concurrent use; evaluation never mutates the
 // state it reads, so callers may share one immutable snapshot across any
 // number of concurrent Window calls.
@@ -123,30 +127,28 @@ type Plan struct {
 	// consults the whole state.
 	Schemes []int
 
-	// runs[i] is the extension data for Schemes[i]; local[i] reports that
-	// X ⊆ R_l, so the contribution is the plain projection π_X(r_l) and no
-	// valuations are needed.
-	runs  []*independence.AcceptedRun
-	local []bool
+	// scans[i] is Schemes[i]'s compiled contribution; depth is the most
+	// steps any of their searches takes.
+	scans []scan
+	depth int
 }
 
 // Consults returns every scheme an evaluation of the plan may read: the
-// contributing schemes plus, for each non-local contributor, the schemes its
-// extension tableaux take valuations against (ExtendTuple reads them for all
-// available attributes, not just X). Chase plans return nil — the chase
-// always consults the whole state. The result is sorted and duplicate-free;
-// it is the gather set a cluster router must fetch before evaluating the
-// window away from the data.
+// contributing schemes plus the relations their compiled steps probe, which
+// are the tags of the minimal calculations of X's attributes only. Chase
+// plans return nil — the chase always consults the whole state. The result
+// is sorted and duplicate-free; it is the gather set a cluster router must
+// fetch before evaluating the window away from the data.
 func (p *Plan) Consults() []int {
 	if !p.Fast {
 		return nil
 	}
 	var seen attrset.Set
-	for i, l := range p.Schemes {
-		seen.Add(l)
-		if !p.local[i] {
-			for _, c := range p.runs[i].Consulted() {
-				seen.Add(c)
+	for _, sc := range p.scans {
+		seen.Add(sc.l)
+		for _, se := range sc.searches {
+			for _, st := range se.steps {
+				seen.Add(st.tag)
 			}
 		}
 	}
@@ -204,9 +206,10 @@ func (ev *Evaluator) Plan(x attrset.Set) (*Plan, bool, error) {
 			if !x.SubsetOf(run.Available()) {
 				continue // no tuple of r_l can be X-total in its extension
 			}
+			sc := compileScan(ev.s, run, x)
 			p.Schemes = append(p.Schemes, l)
-			p.runs = append(p.runs, run)
-			p.local = append(p.local, x.SubsetOf(ev.s.Attrs(l)))
+			p.scans = append(p.scans, sc)
+			p.depth = max(p.depth, sc.depth())
 		}
 	}
 	ev.mu.Lock()
@@ -232,6 +235,96 @@ type Result struct {
 	PlanCached bool
 	// Plan is the compiled plan the evaluation executed, for EXPLAIN.
 	Plan *Plan
+
+	// visited[i] is the number of anchor rows the fast path visited for
+	// Plan.Schemes[i], after selection probes.
+	visited []int
+}
+
+// Cond is one equality selection of a window: attribute Attr must equal
+// Value.
+type Cond struct {
+	Attr  int
+	Value relation.Value
+}
+
+// Unseen is the value a condition carries for a name the evaluated state's
+// dictionary has never interned. No state holds it, so it matches nothing.
+const Unseen relation.Value = -1
+
+// Resolve turns selections by value name (attribute → name) into
+// conditions against the dictionary of the state they will be evaluated
+// over. Names the dictionary lacks become Unseen.
+func Resolve(d *relation.Dict, where map[int]string) []Cond {
+	if len(where) == 0 {
+		return nil
+	}
+	conds := make([]Cond, 0, len(where))
+	for a, name := range where {
+		v, ok := d.Lookup(name)
+		if !ok {
+			v = Unseen
+		}
+		conds = append(conds, Cond{Attr: a, Value: v})
+	}
+	return conds
+}
+
+// selection is a window's conditions by attribute: on holds the selected
+// attributes and want[a] the value attribute a must equal. none reports that
+// no row can satisfy them: an Unseen value, or two conditions on one
+// attribute with different values.
+type selection struct {
+	on   attrset.Set
+	want []relation.Value
+	none bool
+}
+
+// newSelection validates the conditions against the window x.
+func newSelection(u *attrset.Universe, x attrset.Set, where []Cond) (*selection, error) {
+	sel := &selection{}
+	if len(where) == 0 {
+		return sel, nil
+	}
+	sel.want = make([]relation.Value, u.Size())
+	for _, c := range where {
+		if !x.Has(c.Attr) {
+			return nil, fmt.Errorf("query: selection on an attribute outside the window")
+		}
+		if c.Value == Unseen || (sel.on.Has(c.Attr) && sel.want[c.Attr] != c.Value) {
+			sel.none = true
+		}
+		sel.on.Add(c.Attr)
+		sel.want[c.Attr] = c.Value
+	}
+	return sel, nil
+}
+
+// filter returns the rows of in that satisfy the selection.
+func (sel *selection) filter(in *relation.Instance) *relation.Instance {
+	if sel.on.IsEmpty() {
+		return in
+	}
+	out := relation.NewInstance(in.Attrs)
+	if sel.none {
+		return out
+	}
+	cols := in.Attrs.Attrs()
+	var row relation.Tuple
+	for _, s := range in.LiveRows() {
+		row = in.AppendRow(row[:0], s)
+		ok := true
+		for j, a := range cols {
+			if sel.on.Has(a) && row[j] != sel.want[a] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out.Add(row)
+		}
+	}
+	return out
 }
 
 // Window computes the window [x] over the state. The state must be
@@ -240,27 +333,43 @@ type Result struct {
 // exhaust its budget (chase.ErrBudget) or, if the state does not satisfy
 // the dependencies, report the contradiction — maintained states never do.
 func (ev *Evaluator) Window(st *relation.State, x attrset.Set) (*Result, error) {
+	return ev.Select(st, x, nil)
+}
+
+// Select computes the rows of the window [x] that satisfy every condition
+// (each on an attribute of x). On the fast path the conditions drive the
+// evaluation: anchor relations are probed on their selected columns, and an
+// extension is dropped once a selected attribute it derives differs. The
+// chase path filters its X-total projection. The state must be immutable
+// for the duration of the call, as for Window.
+func (ev *Evaluator) Select(st *relation.State, x attrset.Set, where []Cond) (*Result, error) {
 	ev.queries.Add(1)
 	plan, cached, err := ev.Plan(x)
 	if err != nil {
 		return nil, err
 	}
-	var rows *relation.Instance
+	sel, err := newSelection(ev.s.U, x, where)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{X: x, Fast: plan.Fast, PlanCached: cached, Plan: plan}
 	if plan.Fast {
 		ev.fastEvals.Add(1)
-		rows = evalFast(plan, st)
-	} else {
-		ev.chaseEvals.Add(1)
-		rows, err = ev.evalChase(st, x)
-		if err != nil {
-			return nil, err
-		}
+		res.Rows, res.visited = evalFast(plan, st, sel)
+		return res, nil
 	}
-	return &Result{X: x, Rows: rows, Fast: plan.Fast, PlanCached: cached, Plan: plan}, nil
+	ev.chaseEvals.Add(1)
+	rows, err := ev.evalChase(st, x)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = sel.filter(rows)
+	return res, nil
 }
 
 // RelScan is one relation an executed plan consulted, with the number of
-// tuples it scanned.
+// tuples it scanned: on the fast path the anchor rows visited after
+// selection probes, on the chase path the whole relation.
 type RelScan struct {
 	Relation string
 	Rows     int
@@ -268,7 +377,7 @@ type RelScan struct {
 
 // Explain describes the executed plan of one window evaluation against the
 // state it ran over: the chosen mode, whether the plan came from the cache,
-// which relations contributed (with per-relation rows scanned), and — on
+// which relations contributed (with the anchor rows each visited), and — on
 // the fast path — which relations the planner pruned because the window is
 // not a subset of their extension closure (Available()).
 type Explain struct {
@@ -286,9 +395,9 @@ func (ev *Evaluator) Explain(res *Result, st *relation.State) *Explain {
 	if res.Fast {
 		ex.Mode = "fast"
 		member := make([]bool, ev.s.Size())
-		for _, l := range res.Plan.Schemes {
+		for i, l := range res.Plan.Schemes {
 			member[l] = true
-			ex.Relations = append(ex.Relations, RelScan{Relation: ev.s.Name(l), Rows: st.Insts[l].Len()})
+			ex.Relations = append(ex.Relations, RelScan{Relation: ev.s.Name(l), Rows: res.visited[i]})
 		}
 		for l := 0; l < ev.s.Size(); l++ {
 			if !member[l] {
@@ -302,59 +411,6 @@ func (ev *Evaluator) Explain(res *Result, st *relation.State) *Explain {
 		ex.Relations = append(ex.Relations, RelScan{Relation: ev.s.Name(l), Rows: st.Insts[l].Len()})
 	}
 	return ex
-}
-
-// evalFast is the independent-schema window: the union over relevant
-// relations of the X-total extensions of their tuples (Theorem 5). When X
-// is embedded in the scheme the extension's X-projection is the tuple
-// itself, so the contribution collapses to a projection — computed directly
-// into the output, with one reused scratch tuple probing for duplicates
-// before anything is cloned.
-func evalFast(p *Plan, st *relation.State) *relation.Instance {
-	out := relation.NewInstance(p.X)
-	cols := p.X.Attrs()
-	proj := make(relation.Tuple, len(cols))
-	var src [][]relation.Value
-	var scratch relation.Tuple
-	for i, l := range p.Schemes {
-		if p.local[i] {
-			// Stream the projected columns contiguously: one arena slice per
-			// output column, walked in slot order with no per-row object.
-			inst := st.Insts[l]
-			colPos := relation.ProjectionCols(inst.Attrs, p.X)
-			src = src[:0]
-			for _, c := range colPos {
-				src = append(src, inst.Col(c))
-			}
-			for s, alive := range inst.LiveMask() {
-				if !alive {
-					continue
-				}
-				for j := range src {
-					proj[j] = src[j][s]
-				}
-				out.Add(proj)
-			}
-			continue
-		}
-		run := p.runs[i]
-		inst := st.Insts[l]
-		for s, alive := range inst.LiveMask() {
-			if !alive {
-				continue
-			}
-			scratch = inst.AppendRow(scratch[:0], int32(s))
-			ext, determined := run.ExtendTuple(st, scratch)
-			if !p.X.SubsetOf(determined) {
-				continue
-			}
-			for j, a := range cols {
-				proj[j] = ext[a]
-			}
-			out.Add(proj)
-		}
-	}
-	return out
 }
 
 // evalChase is the general window: chase the padded state to the

@@ -3,6 +3,8 @@ package indep
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,7 +27,8 @@ type WindowQuery struct {
 	Attrs []string
 	// Where keeps only rows whose attribute equals the named value. Keys
 	// must be attributes of Attrs; a value the store has never seen matches
-	// nothing.
+	// nothing. Conditions are applied during evaluation, not after it: on
+	// the fast path they are index probes.
 	Where map[string]string
 	// Project, when non-empty, projects the filtered window onto this
 	// subset of Attrs (duplicates collapse).
@@ -34,7 +37,7 @@ type WindowQuery struct {
 	// filtering, projection, and sorting, so results are deterministic).
 	Limit int
 	// Explain, when set, attaches the executed plan to the result: fast path
-	// vs chase, plan-cache hit, per-relation rows scanned, pruned relations,
+	// vs chase, plan-cache hit, per-relation rows visited, pruned relations,
 	// and (on a store) snapshot reuse. The query still runs normally.
 	Explain bool
 	// BinaryResult, when set, skips the rendered Rows maps and emits the
@@ -45,7 +48,9 @@ type WindowQuery struct {
 }
 
 // RelationScan is one relation a window evaluation consulted, with the
-// number of live tuples it scanned.
+// number of its tuples the evaluation visited: on the fast path the tuples
+// left after Where conditions on its attributes were probed, on the chase
+// path all of them.
 type RelationScan struct {
 	Relation string `json:"relation"`
 	Rows     int    `json:"rows"`
@@ -68,7 +73,7 @@ type WindowExplain struct {
 	// (0 for a plain Database query).
 	StoreVersion uint64 `json:"storeVersion"`
 	// Relations lists the relations the evaluation consulted with their
-	// scanned row counts. The chase consults the whole state.
+	// visited row counts. The chase consults the whole state.
 	Relations []RelationScan `json:"relations"`
 	// Pruned lists relations the planner ruled out because the window is
 	// not a subset of their extension closure (fast path only).
@@ -130,11 +135,11 @@ func (cs *ConcurrentStore) Query(q WindowQuery) (*WindowResult, error) {
 func (cs *ConcurrentStore) QueryCtx(ctx context.Context, q WindowQuery) (*WindowResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "store.query")
 	defer sp.End()
-	x, err := cs.schema.attrSet(q.Attrs)
+	x, where, err := cs.schema.windowOf(q)
 	if err != nil {
 		return nil, err
 	}
-	res, st, meta, err := cs.eng.WindowMetaCtx(ctx, x, q.Explain)
+	res, st, meta, err := cs.eng.WindowMetaCtx(ctx, x, where, q.Explain)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +190,7 @@ func (db *Database) Window(attrs ...string) (*WindowResult, error) {
 // store's evaluator (shared plan cache, queries counted in the store's
 // QueryStats); other databases share one evaluator per Schema.
 func (db *Database) Query(q WindowQuery) (*WindowResult, error) {
-	x, err := db.schema.attrSet(q.Attrs)
+	x, where, err := db.schema.windowOf(q)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +200,7 @@ func (db *Database) Query(q WindowQuery) (*WindowResult, error) {
 			return nil, err
 		}
 	}
-	res, err := ev.Window(db.st, x)
+	res, err := ev.Select(db.st, x, query.Resolve(db.st.Dict, where))
 	if err != nil {
 		return nil, err
 	}
@@ -226,12 +231,14 @@ func (s *Schema) windowEvaluator() (*query.Evaluator, error) {
 
 // WindowConsults reports which relations an evaluation of the window [attrs]
 // may read. On the independent fast path that is the contributing relations
-// plus every relation their extension tableaux take valuations against — the
-// exact set a cluster router must gather from shards before it can evaluate
-// the window away from the data, because Theorem 5's extensions consult
-// those relations and no others. For a non-independent schema it returns
-// (nil, false, nil): the fallback chase consults the whole state, so a
-// router can only proxy the query to a node holding everything.
+// plus the relations probed by the minimal calculations of the window's own
+// attributes — the exact set a cluster router must gather from shards before
+// it can evaluate the window away from the data, because the window's
+// Theorem 5 extensions consult those relations and no others. On the
+// benchmark star schema, [A E] consults FACT and DIM1 only. For a
+// non-independent schema it returns (nil, false, nil): the fallback chase
+// consults the whole state, so a router can only proxy the query to a node
+// holding everything.
 func (s *Schema) WindowConsults(attrs ...string) (rels []string, fast bool, err error) {
 	x, err := s.attrSet(attrs)
 	if err != nil {
@@ -254,64 +261,36 @@ func (s *Schema) WindowConsults(attrs ...string) (rels []string, fast bool, err 
 	return rels, true, nil
 }
 
-// finishWindow applies selection, projection, limit, and name rendering to
-// a raw window instance, using the dictionary of the state the window was
-// evaluated against.
+// windowOf validates a query's window attributes and selections before
+// anything is evaluated. It returns the window set and the selections keyed
+// by attribute index; their value names are resolved against the evaluated
+// state's dictionary, where a name never seen matches nothing.
+func (s *Schema) windowOf(q WindowQuery) (attrSetT, map[int]string, error) {
+	x, err := s.attrSet(q.Attrs)
+	if err != nil || len(q.Where) == 0 {
+		return x, nil, err
+	}
+	where := make(map[int]string, len(q.Where))
+	// Sorted, so that of several bad conditions the same one is reported.
+	for _, name := range slices.Sorted(maps.Keys(q.Where)) {
+		i, ok := s.s.U.Index(name)
+		if !ok {
+			return x, nil, fmt.Errorf("indep: unknown attribute %q in Where", name)
+		}
+		if !x.Has(i) {
+			return x, nil, fmt.Errorf("indep: Where attribute %s is not in the window %s",
+				name, strings.Join(s.s.U.Names(x), " "))
+		}
+		where[i] = q.Where[name]
+	}
+	return x, where, nil
+}
+
+// finishWindow applies projection, limit, and name rendering to a window
+// instance (already filtered by the query's selections), using the
+// dictionary of the state the window was evaluated against.
 func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuery) (*WindowResult, error) {
 	rows := res.Rows
-
-	// Selection: translate names through the dictionary without interning;
-	// an unseen value cannot appear in any tuple, so it matches nothing.
-	if len(q.Where) > 0 {
-		cols := rows.Attrs.Attrs()
-		colAt := make(map[int]int, len(cols))
-		for i, a := range cols {
-			colAt[a] = i
-		}
-		type cond struct {
-			col int
-			v   relation.Value
-		}
-		conds := make([]cond, 0, len(q.Where))
-		// Validate every condition before acting on any: an unseen value
-		// means an empty result, but must not short-circuit validation of
-		// the remaining conditions (map order would make errors flaky).
-		empty := false
-		for name, val := range q.Where {
-			i, ok := s.s.U.Index(name)
-			if !ok {
-				return nil, fmt.Errorf("indep: unknown attribute %q in Where", name)
-			}
-			if !res.X.Has(i) {
-				return nil, fmt.Errorf("indep: Where attribute %s is not in the window %s",
-					name, strings.Join(s.s.U.Names(res.X), " "))
-			}
-			v, ok := st.Dict.Lookup(val)
-			if !ok {
-				empty = true
-				continue
-			}
-			conds = append(conds, cond{col: colAt[i], v: v})
-		}
-		filtered := relation.NewInstance(rows.Attrs)
-		if !empty {
-			var scratch relation.Tuple
-			for _, slot := range rows.LiveRows() {
-				ok := true
-				for _, c := range conds {
-					if rows.At(slot, c.col) != c.v {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					scratch = rows.AppendRow(scratch[:0], slot)
-					filtered.Add(scratch)
-				}
-			}
-		}
-		rows = filtered
-	}
 
 	// Projection: collapse onto a subset of the window attributes.
 	outAttrs := res.X

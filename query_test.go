@@ -308,3 +308,131 @@ func TestDurableStoreWindow(t *testing.T) {
 		t.Fatalf("recovered window: %v", res.Rows)
 	}
 }
+
+// The 25-attribute star schema the repo benchmark's daemon serves: a FACT
+// of dimension keys and four keyed dimensions.
+const (
+	starWindowSchema = "FACT(A,B,C,D); DIM1(A,E,F,G,H,I); DIM2(B,J,K,L,M,N); DIM3(C,O,P,Q,R,S); DIM4(D,T,U,V,W,X,Y)"
+	starWindowFDs    = "A -> E F G H I; B -> J K L M N; C -> O P Q R S; D -> T U V W X Y"
+)
+
+// starWindowStore opens a star store holding dims rows per dimension and
+// facts distinct FACT rows over them (facts ≤ dims²). A value is its
+// attribute's lower-case name plus the dimension row, so a7 is the A key of
+// DIM1's row 7 and e7 its E.
+func starWindowStore(tb testing.TB, facts, dims int) *ConcurrentStore {
+	tb.Helper()
+	sch := MustParse(starWindowSchema, starWindowFDs)
+	cs, err := sch.OpenConcurrentStore()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	val := func(attr string, i int) string { return fmt.Sprintf("%c%d", attr[0]+'a'-'A', i) }
+	var ops []BatchOp
+	for _, rel := range []string{"DIM1", "DIM2", "DIM3", "DIM4"} {
+		attrs, _ := sch.RelationAttrs(rel)
+		for i := 0; i < dims; i++ {
+			row := make(map[string]string, len(attrs))
+			for _, a := range attrs {
+				row[a] = val(a, i)
+			}
+			ops = append(ops, BatchOp{Rel: rel, Row: row})
+		}
+	}
+	for f := 0; f < facts; f++ {
+		ops = append(ops, BatchOp{Rel: "FACT", Row: map[string]string{
+			"A": val("A", f%dims), "B": val("B", f/dims%dims),
+			"C": val("C", f*7%dims), "D": val("D", f*13%dims),
+		}})
+	}
+	if err := cs.InsertBatch(ops); err != nil {
+		tb.Fatal(err)
+	}
+	return cs
+}
+
+// starWindowClasses are the repo benchmark's read classes: a projection of
+// FACT, FACT extended by one dimension, and FACT extended by two.
+var starWindowClasses = []struct {
+	name  string
+	attrs []string
+}{
+	{"key", []string{"A", "B", "C", "D"}},
+	{"dim", []string{"A", "E"}},
+	{"join", []string{"A", "B", "E", "J"}},
+}
+
+// TestWindowConsultsStar pins the gather sets of the star's read classes: a
+// contributing scheme consults only the relations its compiled steps for
+// the window's own attributes probe.
+func TestWindowConsultsStar(t *testing.T) {
+	sch := MustParse(starWindowSchema, starWindowFDs)
+	want := map[string][]string{"key": {"FACT"}, "dim": {"FACT", "DIM1"}, "join": {"FACT", "DIM1", "DIM2"}}
+	for _, c := range starWindowClasses {
+		rels, fast, err := sch.WindowConsults(c.attrs...)
+		if err != nil || !fast {
+			t.Fatalf("%v: fast=%v err=%v", c.attrs, fast, err)
+		}
+		if fmt.Sprint(rels) != fmt.Sprint(want[c.name]) {
+			t.Errorf("WindowConsults(%v) = %v, want %v", c.attrs, rels, want[c.name])
+		}
+	}
+}
+
+// TestWindowStarSelectPushdown checks the star's read classes under a
+// selection on A against the unselected window filtered by hand, and that
+// explain reports only the anchor rows the selection probe visited.
+func TestWindowStarSelectPushdown(t *testing.T) {
+	const facts, dims = 200, 20
+	cs := starWindowStore(t, facts, dims)
+	for _, c := range starWindowClasses {
+		all, err := cs.Window(c.attrs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []map[string]string
+		for _, row := range all.Rows {
+			if row["A"] == "a7" {
+				want = append(want, row)
+			}
+		}
+		got, err := cs.Query(WindowQuery{Attrs: c.attrs, Where: map[string]string{"A": "a7"}, Explain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || fmt.Sprint(got.Rows) != fmt.Sprint(want) {
+			t.Fatalf("%s: where A=a7 gave %v, want %v", c.name, got.Rows, want)
+		}
+		for _, rs := range got.Explain.Relations {
+			if limit := facts / dims; rs.Rows > limit {
+				t.Errorf("%s: %s visited %d rows, want at most %d", c.name, rs.Relation, rs.Rows, limit)
+			}
+		}
+	}
+}
+
+// TestWindowStarDimAllocs pins the allocations of selected star windows on
+// a 1,000-fact store: a fixed cost plus a small multiple of the rows
+// returned, however many facts the store holds. Plans and probe indexes
+// are warm, and the snapshot is reused.
+func TestWindowStarDimAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are skewed under -race; CI pins them in a plain pass")
+	}
+	cs := starWindowStore(t, 1000, 50)
+	for _, c := range starWindowClasses[1:] {
+		q := WindowQuery{Attrs: c.attrs, Where: map[string]string{"A": "a7"}}
+		res, err := cs.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := 40 + 6*float64(res.Total)
+		if n := testing.AllocsPerRun(50, func() {
+			if _, err := cs.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}); n > budget {
+			t.Errorf("%s window where A=a7 (%d rows) allocates %v/op, budget %v", c.name, res.Total, n, budget)
+		}
+	}
+}

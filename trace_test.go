@@ -2,6 +2,7 @@ package indep
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -164,5 +165,26 @@ func TestQueryExplain(t *testing.T) {
 	}
 	if res.Explain != nil {
 		t.Fatal("Explain attached without being requested")
+	}
+
+	// Rows counts the anchor rows the evaluation visited: a selection on C
+	// probes each relation on C instead of scanning it.
+	for _, op := range []BatchOp{
+		{Rel: "CT", Row: map[string]string{"C": "cs102", "T": "curie"}},
+		{Rel: "CS", Row: map[string]string{"C": "cs101", "S": "ada"}},
+		{Rel: "CS", Row: map[string]string{"C": "cs101", "S": "bob"}},
+		{Rel: "CS", Row: map[string]string{"C": "cs102", "S": "eve"}},
+	} {
+		if err := db.Insert(op.Rel, op.Row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err = db.Query(WindowQuery{Attrs: []string{"C", "T"}, Where: map[string]string{"C": "cs101"}, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []RelationScan{{Relation: "CT", Rows: 1}, {Relation: "CS", Rows: 2}, {Relation: "CHR", Rows: 0}}
+	if res.Total != 1 || !reflect.DeepEqual(res.Explain.Relations, want) {
+		t.Fatalf("where C=cs101: %d rows, explain relations %v, want 1 row and %v", res.Total, res.Explain.Relations, want)
 	}
 }
